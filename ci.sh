@@ -12,8 +12,11 @@ cd "$(dirname "$0")"
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test -q"
-cargo test -q
+echo "== cargo test -q --no-fail-fast"
+# Run every test binary even after one fails, so a red suite cannot hide
+# the state of the suites after it; cargo still exits nonzero on any
+# failure.
+cargo test -q --no-fail-fast
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -q -- -D warnings

@@ -7,6 +7,28 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
+    it.next()
+        .ok_or(format!("{flag} needs a count"))?
+        .parse()
+        .map_err(|_| format!("invalid {flag} value"))
+}
+
+/// The exit discipline of a finished server: socket-level failures are
+/// usage/IO errors (exit 2, the documented contract); exit 1 is reserved
+/// for worker leaks/panics at shutdown (and, for the router, shards that
+/// ignored their drain).
+fn exit_code(name: &str, served: Result<(), crate::ServeError>) -> Result<ExitCode, String> {
+    match served {
+        Ok(()) => Ok(ExitCode::SUCCESS),
+        Err(e @ crate::ServeError::Io(_)) => Err(e.to_string()),
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
 /// Parses serve-mode arguments (`--socket PATH | --tcp HOST:PORT |
 /// --stdio`, `[--max-frame BYTES] [--registry-cap N] [--memo-cap N]
 /// [--pipeline-depth N] [--read-timeout-ms MS] [--max-conns N]
@@ -22,12 +44,6 @@ pub fn run_serve(args: &[String], name: &str, usage: &str) -> Result<ExitCode, S
     let mut config = ServerConfig::default();
     let mut registry_cap = crate::state::DEFAULT_REGISTRY_CAPACITY;
     let mut memo_cap = xmlta_service::cache::DEFAULT_MEMO_CAPACITY;
-    fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
-        it.next()
-            .ok_or(format!("{flag} needs a count"))?
-            .parse()
-            .map_err(|_| format!("invalid {flag} value"))
-    }
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -98,17 +114,7 @@ pub fn run_serve(args: &[String], name: &str, usage: &str) -> Result<ExitCode, S
         // discover the ephemeral port (parsed by ci.sh and tests).
         eprintln!("{name}: listening on tcp {addr}");
     }
-    match bound.serve(shared, config) {
-        Ok(()) => Ok(ExitCode::SUCCESS),
-        // Socket-level failures are usage/IO errors (exit 2, like the
-        // documented contract); exit 1 is reserved for worker
-        // leaks/panics at shutdown.
-        Err(e @ crate::ServeError::Io(_)) => Err(e.to_string()),
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            Ok(ExitCode::FAILURE)
-        }
-    }
+    exit_code(name, bound.serve(shared, config))
 }
 
 /// Parses router-mode arguments (`--socket PATH | --tcp HOST:PORT`,
@@ -123,12 +129,6 @@ pub fn run_router(args: &[String], name: &str, usage: &str) -> Result<ExitCode, 
     let mut socket: Option<PathBuf> = None;
     let mut tcp: Option<String> = None;
     let mut cfg = RouterConfig::default();
-    fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, String> {
-        it.next()
-            .ok_or(format!("{flag} needs a count"))?
-            .parse()
-            .map_err(|_| format!("invalid {flag} value"))
-    }
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -197,12 +197,5 @@ pub fn run_router(args: &[String], name: &str, usage: &str) -> Result<ExitCode, 
         eprintln!("{name}: listening on tcp {addr}");
     }
     let router = Router::spawn(cfg).map_err(|e| format!("spawning the fleet: {e}"))?;
-    match bound.serve(router) {
-        Ok(()) => Ok(ExitCode::SUCCESS),
-        Err(e @ crate::ServeError::Io(_)) => Err(e.to_string()),
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            Ok(ExitCode::FAILURE)
-        }
-    }
+    exit_code(name, bound.serve(router))
 }

@@ -9,11 +9,12 @@
 //! needs no correlation logic — but keep the window bounded (a few dozen
 //! frames): the v1 server writes responses synchronously, so a client
 //! that writes unboundedly without reading deadlocks once the response
-//! direction's socket buffer fills. After a `hello` negotiates protocol
-//! 2, responses arrive in *completion* order (correlate by `id`), and
-//! the server's reader keeps draining frames while a dedicated writer
-//! catches up — a v2 connection absorbs arbitrarily deep pipelining
-//! without deadlock.
+//! direction's socket buffer fills. A v2 connection at `pipeline: 1`
+//! behaves the same way. After a `hello` negotiates protocol 2 at a
+//! deeper pipeline, responses arrive in *completion* order (correlate by
+//! `id`), and the server's reader keeps draining frames while a
+//! dedicated writer catches up — such a connection absorbs arbitrarily
+//! deep pipelining without deadlock.
 //!
 //! [`ResilientClient`] layers a retry discipline on top: jittered
 //! exponential backoff on connect and reconnect, a *prelude* of
@@ -24,8 +25,9 @@
 //! the client asserts exactly that whenever it sees an id twice.
 
 use crate::net::Stream;
+use crate::proto::{read_raw, Raw};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -130,22 +132,18 @@ impl Client {
     /// buffering the rest of it.
     pub fn recv(&mut self) -> std::io::Result<Option<String>> {
         let mut buf = Vec::new();
-        let limit = self.max_frame as u64 + 1;
-        let n = std::io::Read::take(&mut self.reader, limit).read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        if !buf.ends_with(b"\n") && n as u64 >= limit {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "response frame exceeds the {} byte cap; refusing to buffer it",
-                    self.max_frame
-                ),
-            ));
-        }
-        while buf.last() == Some(&b'\n') || buf.last() == Some(&b'\r') {
-            buf.pop();
+        match read_raw(&mut self.reader, self.max_frame, &mut buf)? {
+            Raw::Eof => return Ok(None),
+            Raw::Oversized => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "response frame exceeds the {} byte cap; refusing to buffer it",
+                        self.max_frame
+                    ),
+                ))
+            }
+            Raw::Ready => {}
         }
         String::from_utf8(buf).map(Some).map_err(|_| {
             std::io::Error::new(

@@ -28,7 +28,7 @@
 
 use crate::client::ServerAddr;
 use crate::net::Stream;
-use crate::router::Router;
+use crate::router::{signal, Router};
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -385,9 +385,9 @@ pub fn unleash(
                 }
                 FleetEvent::Stall { shard, dur } => {
                     if let Some(pid) = router.shard_pid(shard) {
-                        send_signal(pid, "-STOP");
+                        signal(pid, "-STOP");
                         std::thread::sleep(dur);
-                        send_signal(pid, "-CONT");
+                        signal(pid, "-CONT");
                     }
                 }
                 FleetEvent::CorruptStore => {
@@ -399,16 +399,6 @@ pub fn unleash(
         }
         killed
     })
-}
-
-/// `kill -SIG pid` via the coreutil — the crate stays libc-free.
-fn send_signal(pid: u32, sig: &str) {
-    let _ = std::process::Command::new("kill")
-        .arg(sig)
-        .arg(pid.to_string())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status();
 }
 
 /// Flips one byte in one `.xta` artifact under `dir` (recursive,

@@ -14,20 +14,26 @@
 //!   request constructors (the protocol reference lives in its docs);
 //! * [`state`] — the process-wide shared cache + prepared-instance
 //!   registry;
-//! * [`session`] — per-connection handle tables and request dispatch,
-//!   with per-request panic isolation;
-//! * [`net`] — the socket daemon (Unix and TCP listeners,
+//! * [`session`] — per-connection handle tables, request dispatch with
+//!   per-request panic isolation, and the one connection loop (inline at
+//!   depth 1, a worker pool at negotiated depth ≥2);
+//! * [`net`] — the one network layer (Unix and TCP listeners,
 //!   thread-per-connection, read timeouts, overload shedding, graceful
-//!   shutdown, leak-checked drain) and the stdio mode;
+//!   shutdown, leak-checked drain) shared by the daemon and the router,
+//!   and the stdio mode;
+//! * [`router`] — the shard-fleet router: consistent hashing,
+//!   supervision, circuit breakers, and relay sessions served through
+//!   [`net`];
 //! * [`client`] — the reference client and the reconnecting, replaying
 //!   [`ResilientClient`] (`xmlta client` is a thin wrapper);
 //! * [`fault`] — a seeded, deterministic fault-injection proxy for chaos
 //!   testing the serving path.
 //!
-//! Responses on one connection are in request order and carry no timings
-//! or counters (except the explicit `stats` op), so a connection's
+//! Responses carry no timings or counters (except the explicit `stats`
+//! op) and, at depth 1, arrive in request order, so a connection's
 //! transcript is byte-identical no matter how many other clients are
 //! hammering the same server — the property the integration tests pin.
+//! At depth ≥2 the bytes per id are still fixed; only their order varies.
 
 pub mod cli;
 pub mod client;
@@ -39,7 +45,7 @@ pub mod session;
 pub mod state;
 
 pub use client::{Client, ResilientClient, RetryPolicy, ServerAddr};
-pub use net::{serve_stdio, serve_tcp, serve_unix, Bound, ServeError, ServerConfig};
+pub use net::{serve_stdio, serve_unix, Bound, ServeError, ServerConfig};
 pub use router::{Breaker, BreakerState, Ring, Router, RouterBound, RouterConfig};
 pub use session::{serve_stream, Control, Session, SessionEnd};
 pub use state::{Prepared, ServerCounters, Shared};

@@ -1,13 +1,17 @@
-//! Transports: the socket daemon loop (Unix *and* TCP listeners over one
-//! shared state) and the stdio single-session mode.
+//! The network layer: listeners, the accept loop, and the stdio mode.
 //!
-//! The daemon is thread-per-connection over one shared
-//! [`crate::state::Shared`]. A server may listen on a Unix socket, a TCP
-//! address, or both at once ([`Bound`]); every listener feeds the same
-//! session machinery, so the frame grammar, goldens, and per-connection
-//! determinism are transport-independent. A `shutdown` request (from any
-//! connection, on any transport) stops every accept loop, and the server
-//! then *drains*: it waits up to [`ServerConfig::drain`] for every
+//! Every server in the crate accepts connections here. [`Bound`] holds a
+//! Unix socket, a TCP address, or both; [`Bound::serve`] runs daemon
+//! sessions over one shared [`crate::state::Shared`], and
+//! [`crate::RouterBound`] runs relay sessions through the same accept
+//! loop. Either way the server is thread-per-connection, and each
+//! connection runs the one connection loop
+//! (`session::frame_loop`), so the frame grammar, goldens, and
+//! per-connection determinism are transport- and front-end-independent.
+//!
+//! A `shutdown` request (from any connection, on any transport) stops
+//! every accept loop. The server then closes the connections still open
+//! and *drains*: it waits up to [`ServerConfig::drain`] for every
 //! connection worker to finish. Workers still running (or panicked) after
 //! the drain window are reported as an error so the process exits
 //! nonzero — a leaked worker is a bug, not a shrug.
@@ -15,15 +19,16 @@
 //! # Robustness layer
 //!
 //! * **Read/idle timeout** ([`ServerConfig::read_timeout`]): armed on
-//!   every accepted stream; a connection that produces no frame within the
-//!   window is answered with a `read-timeout` error frame and closed. On a
-//!   pipelined connection the timeout only fires when nothing is in
-//!   flight — a client quietly waiting for its own responses is not idle.
+//!   every accepted daemon stream; a connection that produces no frame
+//!   within the window is answered with a `read-timeout` error frame and
+//!   closed. On a pipelined connection the timeout only fires when
+//!   nothing is in flight — a client quietly waiting for its own
+//!   responses is not idle.
 //! * **Connection cap** ([`ServerConfig::max_conns`]): accepts beyond the
 //!   cap are shed immediately with a one-frame `server-overloaded` reply
 //!   carrying a `retry_after_ms` hint; live sessions are never affected.
 //! * Both are tallied in [`crate::state::ServerCounters`] and surfaced by
-//!   the `stats` op.
+//!   the daemon's `stats` op.
 
 use crate::session::{serve_stream, Session, SessionEnd};
 use crate::state::{ServerCounters, Shared};
@@ -112,7 +117,7 @@ impl From<std::io::Error> for ServeError {
 /// Serves a single session over stdin/stdout (the `--stdio` mode): the
 /// same protocol with the process as the connection. Returns on EOF,
 /// `shutdown`, or an oversized frame. The handles stay unlocked (locked
-/// handles cannot cross into the pipelined loop's reader thread); the
+/// handles cannot cross into the worker pool's reader thread); the
 /// process is the only user of its stdio anyway. Read timeouts do not
 /// apply (stdio cannot arm one).
 pub fn serve_stdio(shared: Arc<Shared>, config: &ServerConfig) -> std::io::Result<SessionEnd> {
@@ -198,7 +203,12 @@ impl Listener {
     fn accept(&self) -> std::io::Result<Stream> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                // Frames are small and latency-sensitive; never wait for a
+                // second frame to fill a segment.
+                let _ = s.set_nodelay(true);
+                Stream::Tcp(s)
+            }),
         }
     }
 }
@@ -231,8 +241,8 @@ impl WakeTarget {
     }
 }
 
-/// State shared by every accept loop and connection worker of one daemon.
-struct DaemonCtx {
+/// State shared by every accept loop and connection worker of one server.
+struct ServeCtx {
     shutdown: AtomicBool,
     /// Open connections by id, so shutdown can close them out from under
     /// workers blocked in a read — an *idle* connection must not be
@@ -250,7 +260,7 @@ struct DaemonCtx {
     wake: Vec<WakeTarget>,
 }
 
-impl DaemonCtx {
+impl ServeCtx {
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for target in &self.wake {
@@ -292,12 +302,37 @@ impl Bound {
         self.tcp.as_ref().and_then(|l| l.local_addr().ok())
     }
 
-    /// Serves connections on every bound listener until a `shutdown`
+    /// Serves daemon sessions on every bound listener until a `shutdown`
     /// request, then drains workers. The Unix socket file (if any) is
     /// removed on exit.
     pub fn serve(self, shared: Arc<Shared>, config: ServerConfig) -> Result<(), ServeError> {
         // See serve_stdio: serving always records spans.
         xmlta_obs::enable();
+        let conn_shared = Arc::clone(&shared);
+        let conn_config = config.clone();
+        self.serve_with(&config, shared.counters(), move |stream, _| {
+            serve_connection(stream, Arc::clone(&conn_shared), &conn_config)
+        })
+    }
+
+    /// The accept side of every server — the daemon ([`Bound::serve`])
+    /// and the router ([`crate::RouterBound::serve`]). Each accepted
+    /// connection under [`ServerConfig::max_conns`] runs
+    /// `serve_conn(stream, n)` on a worker thread of its own (`n` numbers
+    /// accepts from 0); accepts over the cap are shed. When a connection
+    /// ends with [`SessionEnd::Shutdown`], every accept loop stops, the
+    /// connections still open are closed under their workers, and the
+    /// workers are drained within [`ServerConfig::drain`]. The Unix socket
+    /// file (if any) is removed on exit.
+    pub(crate) fn serve_with<F>(
+        self,
+        config: &ServerConfig,
+        counters: &ServerCounters,
+        serve_conn: F,
+    ) -> Result<(), ServeError>
+    where
+        F: Fn(Stream, u64) -> std::io::Result<SessionEnd> + Send + Sync + 'static,
+    {
         let mut listeners: Vec<Listener> = Vec::new();
         let mut wake: Vec<WakeTarget> = Vec::new();
         let mut unix_path: Option<PathBuf> = None;
@@ -310,7 +345,7 @@ impl Bound {
             wake.push(WakeTarget::Tcp(listener.local_addr()?));
             listeners.push(Listener::Tcp(listener));
         }
-        let ctx = Arc::new(DaemonCtx {
+        let ctx = Arc::new(ServeCtx {
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(FxHashMap::default()),
             next_id: AtomicU64::new(0),
@@ -319,6 +354,7 @@ impl Bound {
             workers: Mutex::new(Vec::new()),
             wake,
         });
+        let serve_conn = Arc::new(serve_conn);
         // One accept loop per listener; the scope joins them all before we
         // drain, so no loop can spawn workers after the drain starts.
         let accept_error: Option<ServeError> = std::thread::scope(|scope| {
@@ -326,9 +362,8 @@ impl Bound {
                 .iter()
                 .map(|listener| {
                     let ctx = &ctx;
-                    let shared = &shared;
-                    let config = &config;
-                    scope.spawn(move || accept_loop(listener, ctx, shared, config))
+                    let serve_conn = &serve_conn;
+                    scope.spawn(move || accept_loop(listener, ctx, counters, config, serve_conn))
                 })
                 .collect();
             handles
@@ -357,7 +392,8 @@ impl Bound {
     }
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks `mutex`, recovering the data from a poisoned lock.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -373,22 +409,20 @@ pub fn serve_unix(
     Bound::bind(Some(path), None)?.serve(shared, config)
 }
 
-/// Binds a TCP address (e.g. `127.0.0.1:7700`) and serves connections
-/// until a `shutdown` request, then drains workers.
-pub fn serve_tcp(addr: &str, shared: Arc<Shared>, config: ServerConfig) -> Result<(), ServeError> {
-    Bound::bind(None, Some(addr))?.serve(shared, config)
-}
-
 /// One listener's accept loop. Sheds over-cap accepts, spawns a worker per
 /// served connection, and reaps finished workers as it goes — a
-/// long-running daemon must not accumulate one JoinHandle per connection
+/// long-running server must not accumulate one JoinHandle per connection
 /// ever served.
-fn accept_loop(
+fn accept_loop<F>(
     listener: &Listener,
-    ctx: &Arc<DaemonCtx>,
-    shared: &Arc<Shared>,
+    ctx: &Arc<ServeCtx>,
+    counters: &ServerCounters,
     config: &ServerConfig,
-) -> Result<(), ServeError> {
+    serve_conn: &Arc<F>,
+) -> Result<(), ServeError>
+where
+    F: Fn(Stream, u64) -> std::io::Result<SessionEnd> + Send + Sync + 'static,
+{
     let mut consecutive_errors = 0u32;
     loop {
         if lock(&ctx.workers).len() >= 64 {
@@ -433,7 +467,7 @@ fn accept_loop(
             // Shed: one structured frame naming the cap and a retry
             // hint, then close. Never block the accept loop on a slow
             // peer — the frame fits any socket buffer.
-            ServerCounters::bump(&shared.counters().overload_sheds);
+            ServerCounters::bump(&counters.overload_sheds);
             let frame = crate::proto::overloaded_frame(config.max_conns, config.retry_after_ms);
             let _ = stream.write_all(frame.as_bytes());
             let _ = stream.write_all(b"\n");
@@ -441,17 +475,16 @@ fn accept_loop(
             stream.shutdown_both();
             continue;
         }
-        ServerCounters::bump(&shared.counters().conns_accepted);
+        ServerCounters::bump(&counters.conns_accepted);
         let id = ctx.next_id.fetch_add(1, Ordering::SeqCst);
         if let Ok(clone) = stream.try_clone() {
             lock(&ctx.conns).insert(id, clone);
         }
         ctx.live.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(shared);
-        let config = config.clone();
+        let serve_conn = Arc::clone(serve_conn);
         let worker_ctx = Arc::clone(ctx);
         let worker = std::thread::spawn(move || {
-            let result = serve_connection(stream, shared, &config);
+            let result = serve_conn(stream, id);
             lock(&worker_ctx.conns).remove(&id);
             worker_ctx.live.fetch_sub(1, Ordering::SeqCst);
             if matches!(result, Ok(SessionEnd::Shutdown)) {
@@ -469,11 +502,6 @@ fn serve_connection(
     shared: Arc<Shared>,
     config: &ServerConfig,
 ) -> std::io::Result<SessionEnd> {
-    if let Stream::Tcp(s) = &stream {
-        // Frames are small and latency-sensitive; never wait for a
-        // second frame to fill a segment.
-        let _ = s.set_nodelay(true);
-    }
     if config.read_timeout.is_some() {
         stream.set_read_timeout(config.read_timeout)?;
     }

@@ -44,10 +44,12 @@
 //!   `pipeline-depth-exceeded` error naming the cap — the backpressure
 //!   reply; the connection stays at its previous version and the client
 //!   re-hellos with a smaller depth.
-//! * On a v2 connection, up to `pipeline` expensive requests
-//!   (`typecheck`, `batch`, `batch_bin`) execute concurrently on a
-//!   per-connection worker pool; responses are written in completion
-//!   order. Cheap, order-sensitive ops (`hello`, `ping`, `register`,
+//! * On a v2 connection at `pipeline` 2 or more, up to `pipeline`
+//!   expensive requests (`typecheck`, `batch`, `batch_bin`) execute
+//!   concurrently on a per-connection worker pool; responses are written
+//!   in completion order. At `pipeline: 1` every request runs on the
+//!   connection thread and replies come in request order, as on v1.
+//!   Cheap, order-sensitive ops (`hello`, `ping`, `register`,
 //!   `register_bin`, `stats`) execute in the read loop in request order,
 //!   so a handle registered by frame *n* is always visible to frame
 //!   *n+1* — per-`id` responses stay a pure function of the request
@@ -59,7 +61,8 @@
 //!
 //! # Responses
 //!
-//! One frame per request (request order on v1, completion order on v2):
+//! One frame per request (request order at depth 1, completion order on
+//! a deeper v2 pipeline):
 //!
 //! ```text
 //! {"id":7,"ok":true,"status":"typechecks"}
@@ -73,6 +76,7 @@
 //! assert.
 
 use std::fmt::Write as _;
+use std::io::{BufRead, Read as _};
 use xmlta_service::{parse_json, Json};
 
 /// The protocol version every connection starts in.
@@ -739,6 +743,24 @@ pub fn read_timeout_reject(timeout_ms: u64) -> Reject {
     }
 }
 
+/// The `oversized-frame` reject for the configured cap.
+pub fn oversized_reject(max_frame: usize) -> Reject {
+    Reject {
+        id: Json::Null,
+        code: code::OVERSIZED_FRAME,
+        message: format!("frame exceeds {max_frame} bytes; closing the connection"),
+    }
+}
+
+/// The `malformed-frame` reject for a non-UTF-8 frame.
+pub fn bad_utf8_reject() -> Reject {
+    Reject {
+        id: Json::Null,
+        code: code::MALFORMED_FRAME,
+        message: "frame is not valid UTF-8".to_string(),
+    }
+}
+
 /// The `deadline-exceeded` reject for a request shed before execution.
 pub fn deadline_reject(id: Json, deadline_ms: u64) -> Reject {
     Reject {
@@ -746,6 +768,47 @@ pub fn deadline_reject(id: Json, deadline_ms: u64) -> Reject {
         code: code::DEADLINE_EXCEEDED,
         message: format!("deadline of {deadline_ms} ms expired before execution; request shed"),
     }
+}
+
+/// What [`read_raw`] found on the stream.
+pub(crate) enum Raw {
+    /// The stream ended.
+    Eof,
+    /// The line exceeds the frame cap (the buffer holds a prefix).
+    Oversized,
+    /// `buf` holds one complete frame (newline stripped).
+    Ready,
+}
+
+/// Reads one newline-terminated frame into `buf` (cleared first),
+/// enforcing the size cap without unbounded buffering. Every frame the
+/// crate reads — server sessions, the router relay, and clients — comes
+/// through here.
+pub(crate) fn read_raw<R: BufRead>(
+    reader: &mut R,
+    max_frame: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Raw> {
+    buf.clear();
+    // Read at most one byte past the cap: a line that long is oversized
+    // whether or not its newline ever arrives.
+    let n = reader
+        .by_ref()
+        .take(max_frame as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(Raw::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > max_frame {
+        return Ok(Raw::Oversized);
+    }
+    Ok(Raw::Ready)
 }
 
 // ---------------------------------------------------------------------

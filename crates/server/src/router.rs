@@ -29,43 +29,37 @@
 //! for routing, so every shard session replays the client's exact frame
 //! sequence — responses are byte-identical to a direct daemon's, which
 //! the crash-chaos differential suite (`tests/fleet_chaos.rs`) pins.
+//!
+//! The router has no network layer of its own: [`RouterBound`] is a
+//! [`Bound`] whose connections are relay sessions, and each relay session
+//! runs the daemon's connection loop (`session::frame_loop`).
+//! Clients of the router therefore get the daemon's connection cap,
+//! `oversized-frame`/`malformed-frame` replies, and shutdown discipline
+//! (live connections closed, workers drained and leak-checked) — then
+//! the router drains its fleet.
 
 use crate::client::{splitmix64, ResilientClient, RetryPolicy, ServerAddr};
-use crate::net::{ServeError, Stream};
+use crate::net::{lock, Bound, ServeError, ServerConfig, Stream};
 use crate::proto::{self, Op, Target};
-use crate::state::{handle_for_binary, handle_for_source};
+use crate::session::{frame_loop, Conn, SessionEnd};
+use crate::state::{handle_for_binary, handle_for_source, ServerCounters};
 use crate::Client;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{BufReader, Write};
+use std::net::SocketAddr;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use xmlta_service::artifact::fnv1a64;
 use xmlta_service::{parse_json, Json};
 
 /// Virtual nodes per shard on the hash ring: enough that key spread
 /// stays near ideal and a shard's removal scatters its keys evenly over
 /// the survivors.
 pub const VNODES_PER_SHARD: usize = 64;
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// FNV-1a over `bytes` — the key hash feeding the ring.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A consistent-hash ring over `shards` shard indices.
 #[derive(Debug, Clone)]
@@ -393,8 +387,6 @@ pub struct Router {
     /// Fleet counters (`shard_respawns` / `breaker_opens` / `failovers`).
     pub counters: RouterCounters,
     shutdown: AtomicBool,
-    wake: Mutex<Vec<ServerAddr>>,
-    next_conn: AtomicU64,
     supervisor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -435,8 +427,6 @@ impl Router {
             inflight: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             counters: RouterCounters::default(),
             shutdown: AtomicBool::new(false),
-            wake: Mutex::new(Vec::new()),
-            next_conn: AtomicU64::new(1),
             supervisor: Mutex::new(None),
             cfg,
         });
@@ -499,15 +489,6 @@ impl Router {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Starts shutdown: the supervisor stops respawning, accept loops
-    /// wake and exit, relay sessions close at their next idle tick.
-    pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for addr in lock(&self.wake).iter() {
-            let _ = addr.connect();
-        }
-    }
-
     /// Gracefully drains shard `shard` while the fleet keeps serving:
     /// marks it unroutable (new requests fail over to ring successors,
     /// whose session links replay the same register prelude — the
@@ -556,7 +537,7 @@ impl Router {
     /// turn. The first drain error (a shard that had to be killed) is
     /// returned after every shard has been dealt with.
     pub fn drain_fleet(&self) -> std::io::Result<()> {
-        self.begin_shutdown();
+        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(sup) = lock(&self.supervisor).take() {
             let _ = sup.join();
         }
@@ -673,22 +654,15 @@ impl Router {
             if self.draining[shard].load(Ordering::SeqCst) {
                 continue;
             }
-            if self.probe(shard) {
+            if self
+                .fetch_shard_stats(shard, Duration::from_millis(500))
+                .is_some()
+            {
                 self.note_ok(shard);
             } else {
                 self.note_failure(shard);
             }
         }
-    }
-
-    fn probe(&self, shard: usize) -> bool {
-        Client::connect(&self.sockets[shard])
-            .and_then(|mut c| {
-                c.set_read_timeout(Some(Duration::from_millis(500)))?;
-                c.roundtrip(&proto::req_stats(0))
-            })
-            .map(|reply| reply.contains("\"stats\""))
-            .unwrap_or(false)
     }
 
     /// May a request be routed to `shard` right now?
@@ -712,11 +686,12 @@ impl Router {
         lock(&self.breakers[shard]).state()
     }
 
-    /// Reads one shard's `stats` object over a fresh v1 connection.
-    fn fetch_shard_stats(&self, shard: usize) -> Option<Json> {
+    /// Reads one shard's `stats` object over a fresh v1 connection,
+    /// waiting at most `patience` for the reply.
+    fn fetch_shard_stats(&self, shard: usize, patience: Duration) -> Option<Json> {
         let reply = Client::connect(&self.sockets[shard])
             .and_then(|mut c| {
-                c.set_read_timeout(Some(Duration::from_secs(1)))?;
+                c.set_read_timeout(Some(patience))?;
                 c.roundtrip(&proto::req_stats(0))
             })
             .ok()?;
@@ -757,8 +732,8 @@ fn default_shard_command() -> std::io::Result<Vec<String>> {
     Ok(vec![exe.display().to_string(), "serve".to_string()])
 }
 
-/// `kill -SIG pid` without a libc dependency.
-fn signal(pid: u32, sig: &str) {
+/// `kill -SIG pid` via the coreutil — the crate stays libc-free.
+pub(crate) fn signal(pid: u32, sig: &str) {
     let _ = Command::new("kill")
         .arg(sig)
         .arg(pid.to_string())
@@ -800,11 +775,16 @@ impl Drop for InflightGuard<'_> {
 /// link per shard, plus the session prelude (`hello` + `register`
 /// frames in client order) every link replays so any shard can serve
 /// any of the session's handles.
+///
+/// The relay answers each request line before the next is read — every
+/// protocol version tolerates that, since responses stay id-correlated.
 struct Relay {
     router: Arc<Router>,
     conn_id: u64,
     links: Vec<Option<Link>>,
     prelude: Vec<(u64, String)>,
+    /// The client connection's response direction.
+    writer: Stream,
 }
 
 struct Link {
@@ -813,78 +793,47 @@ struct Link {
     synced: usize,
 }
 
-/// What the relay hands back for one request line.
-enum RelayOut {
-    /// Response frames to write (one, or a whole `batch_bin` stream).
-    Frames(Vec<String>),
-    /// A `shutdown` ack: write it, then start the router's shutdown.
-    Shutdown(String),
-}
-
 impl Relay {
-    fn new(router: Arc<Router>, conn_id: u64) -> Relay {
+    fn new(router: Arc<Router>, conn_id: u64, writer: Stream) -> Relay {
         let shards = router.shards();
         Relay {
             router,
             conn_id,
             links: (0..shards).map(|_| None).collect(),
             prelude: Vec::new(),
+            writer,
         }
     }
 
-    /// Routes and forwards one request line, byte-preserved.
-    fn handle_line(&mut self, line: &str) -> std::io::Result<RelayOut> {
-        match proto::parse_request(line, 2) {
-            Ok(request) => match &request.op {
-                Op::Stats => Ok(RelayOut::Frames(vec![self.stats_reply(&request.id)])),
-                Op::Shutdown => Ok(RelayOut::Shutdown(proto::ok_frame(&request.id))),
-                op => {
-                    let key = route_key(op);
-                    let streamed = matches!(op, Op::BatchBin { stream: true, .. });
-                    match request.id.as_u64() {
-                        Some(id) => {
-                            let frames = self.forward(key, id, line, streamed)?;
-                            if matches!(
-                                op,
-                                Op::Hello { .. }
-                                    | Op::Register { .. }
-                                    | Op::RegisterBin { .. }
-                                    | Op::Update { .. }
-                            ) {
-                                // Future links (and every reconnect)
-                                // replay these, so handles survive
-                                // respawns and follow failovers. Updates
-                                // are session-state frames too: replaying
-                                // the chain re-derives every successor
-                                // handle on the replacement shard.
-                                self.prelude.push((id, line.to_string()));
-                            }
-                            Ok(RelayOut::Frames(frames))
-                        }
-                        // A non-numeric id cannot ride the id-correlated
-                        // replay path; relay it raw (the reply echoes
-                        // whatever id the client sent).
-                        None => self
-                            .forward_raw(key, line)
-                            .map(|f| RelayOut::Frames(vec![f])),
-                    }
-                }
-            },
-            // Unparseable frames forward too: the shard answers with the
-            // same error bytes a direct daemon would.
-            Err(_) => self.forward_raw(0, line).map(|f| RelayOut::Frames(vec![f])),
+    /// Routes and forwards one parsed request line, byte-preserved.
+    fn relay(&mut self, op: &Op, id: Option<u64>, line: &str) -> std::io::Result<Vec<String>> {
+        let streamed = matches!(op, Op::BatchBin { stream: true, .. });
+        let frames = self.forward(route_key(op), id, line, streamed)?;
+        if let Some(id) = id {
+            if matches!(
+                op,
+                Op::Hello { .. } | Op::Register { .. } | Op::RegisterBin { .. } | Op::Update { .. }
+            ) {
+                // Future links (and every reconnect) replay these, so
+                // handles survive respawns and follow failovers. Updates
+                // are session-state frames too: replaying the chain
+                // re-derives every successor handle on the replacement
+                // shard.
+                self.prelude.push((id, line.to_string()));
+            }
         }
+        Ok(frames)
     }
 
-    /// Forwards one id-bearing request: the home shard first, then —
-    /// on breaker-open or link failure — each ring successor in order,
-    /// with one last breaker-blind try of the home shard so a fleet
+    /// Forwards one request: the home shard first, then — on
+    /// breaker-open or link failure — each ring successor in order, with
+    /// one last breaker-blind try of the home shard so a fleet
     /// mid-respawn still gets the request rather than the client an
     /// error.
     fn forward(
         &mut self,
         key: u64,
-        id: u64,
+        id: Option<u64>,
         frame: &str,
         streamed: bool,
     ) -> std::io::Result<Vec<String>> {
@@ -908,35 +857,6 @@ impl Relay {
         let frames = self.send_on(home, id, frame, streamed)?;
         self.router.note_ok(home);
         Ok(frames)
-    }
-
-    /// Forwards a frame that cannot be id-correlated.
-    fn forward_raw(&mut self, key: u64, line: &str) -> std::io::Result<String> {
-        let order = self.router.ring().order(key);
-        let home = order[0];
-        for &shard in &order {
-            if !self.router.admit(shard) {
-                continue;
-            }
-            match self.sync_link(shard).and_then(|()| {
-                let link = self.links[shard].as_mut().expect("link just synced");
-                link.client.run_raw(line)
-            }) {
-                Ok(reply) => {
-                    self.router.note_ok(shard);
-                    if shard != home {
-                        self.router.counters.bump_failovers();
-                    }
-                    return Ok(reply);
-                }
-                Err(_) => self.router.note_failure(shard),
-            }
-        }
-        self.sync_link(home)?;
-        let link = self.links[home].as_mut().expect("link just synced");
-        let reply = link.client.run_raw(line)?;
-        self.router.note_ok(home);
-        Ok(reply)
     }
 
     /// Ensures shard `shard` has a link carrying the full session
@@ -972,25 +892,29 @@ impl Relay {
         Ok(())
     }
 
-    /// Plays one request on shard `shard`'s link.
+    /// Plays one request on shard `shard`'s link. A request without a
+    /// numeric id cannot ride the id-correlated replay path, so it is
+    /// relayed raw (the reply echoes whatever id the client sent).
     fn send_on(
         &mut self,
         shard: usize,
-        id: u64,
+        id: Option<u64>,
         frame: &str,
         streamed: bool,
     ) -> std::io::Result<Vec<String>> {
         let router = Arc::clone(&self.router);
         let _inflight = InflightGuard::enter(&router.inflight[shard]);
         self.sync_link(shard)?;
-        let link = self.links[shard].as_mut().expect("link just synced");
-        if streamed {
-            link.client.run_streamed(id, frame)
-        } else {
-            let mut answers = link.client.run(&[(id, frame.to_string())])?;
-            Ok(vec![answers
-                .remove(&id)
-                .expect("run() answers every work id")])
+        let client = &mut self.links[shard].as_mut().expect("link just synced").client;
+        match id {
+            None => Ok(vec![client.run_raw(frame)?]),
+            Some(id) if streamed => client.run_streamed(id, frame),
+            Some(id) => {
+                let mut answers = client.run(&[(id, frame.to_string())])?;
+                Ok(vec![answers
+                    .remove(&id)
+                    .expect("run() answers every work id")])
+            }
         }
     }
 
@@ -1002,7 +926,7 @@ impl Relay {
         let mut sums: BTreeMap<String, u64> = BTreeMap::new();
         let mut reachable = 0u64;
         for shard in 0..self.router.shards() {
-            let Some(stats) = self.router.fetch_shard_stats(shard) else {
+            let Some(stats) = self.router.fetch_shard_stats(shard, Duration::from_secs(1)) else {
                 continue;
             };
             reachable += 1;
@@ -1038,261 +962,95 @@ impl Relay {
     }
 }
 
-/// Bound-but-not-yet-serving router listeners (mirrors [`crate::Bound`]:
-/// bind first, learn the ephemeral TCP port, then serve).
-pub struct RouterBound {
-    unix: Option<(UnixListener, PathBuf)>,
-    tcp: Option<TcpListener>,
+impl Conn for Relay {
+    type Stop = SessionEnd;
+
+    fn request(&mut self, line: &str) -> std::io::Result<Option<SessionEnd>> {
+        let mut stop = None;
+        let relayed = match proto::parse_request(line, 2) {
+            Ok(request) => match &request.op {
+                Op::Stats => Ok(vec![self.stats_reply(&request.id)]),
+                Op::Shutdown => {
+                    stop = Some(SessionEnd::Shutdown);
+                    Ok(vec![proto::ok_frame(&request.id)])
+                }
+                op => self.relay(op, request.id.as_u64(), line),
+            },
+            // Unparseable frames forward too: the shard answers with the
+            // same error bytes a direct daemon would.
+            Err(_) => self.forward(0, None, line, false),
+        };
+        let frames = relayed.unwrap_or_else(|_| {
+            // The whole fleet stayed unreachable past every retry and
+            // failover: answer structurally rather than dropping the
+            // client.
+            let id = parse_json(line)
+                .ok()
+                .and_then(|j| j.get("id").cloned())
+                .unwrap_or(Json::Null);
+            vec![proto::error_frame(&proto::Reject {
+                id,
+                code: proto::code::SHARD_UNAVAILABLE,
+                message: "no shard reachable for this request".to_string(),
+            })]
+        });
+        // One write for the whole reply, however many frames it has.
+        self.reply(&frames.join("\n"))?;
+        Ok(stop)
+    }
+
+    fn reply(&mut self, frame: &str) -> std::io::Result<()> {
+        self.writer.write_all(format!("{frame}\n").as_bytes())
+    }
 }
+
+/// Bound-but-not-yet-serving router listeners: a [`Bound`] whose
+/// connections are relay sessions (bind first, learn the ephemeral TCP
+/// port, then serve).
+pub struct RouterBound(Bound);
 
 impl RouterBound {
     /// Binds a Unix socket path and/or a TCP address (at least one).
     pub fn bind(unix: Option<&Path>, tcp: Option<&str>) -> std::io::Result<RouterBound> {
-        if unix.is_none() && tcp.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "no listener: give a Unix socket path or a TCP address",
-            ));
+        match Bound::bind(unix, tcp) {
+            Ok(bound) => Ok(RouterBound(bound)),
+            Err(ServeError::Io(e)) => Err(e),
+            Err(e) => Err(std::io::Error::other(e.to_string())),
         }
-        let unix = match unix {
-            Some(path) => Some((UnixListener::bind(path)?, path.to_path_buf())),
-            None => None,
-        };
-        let tcp = match tcp {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
-        Ok(RouterBound { unix, tcp })
     }
 
     /// The actual TCP address (useful after binding port 0).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp.as_ref().and_then(|l| l.local_addr().ok())
+        self.0.tcp_addr()
     }
 
-    /// Serves client sessions against the fleet until a `shutdown`
-    /// request (or [`Router::begin_shutdown`]), then waits out live
-    /// sessions and drains the fleet. Exit discipline mirrors the
-    /// daemon's: leaked sessions and panicked workers are errors, and a
-    /// shard that ignored its drain reports as an I/O error.
+    /// Serves client sessions against the fleet through the daemon's
+    /// accept loop — the same connection cap, frame-error replies, and
+    /// close-and-drain on shutdown — until a `shutdown` request, then
+    /// drains the fleet. Leaked sessions and panicked workers are errors,
+    /// and a shard that ignored its drain reports as an I/O error.
     pub fn serve(self, router: Arc<Router>) -> Result<(), ServeError> {
-        let mut listeners: Vec<RouterListener> = Vec::new();
-        let mut unix_path: Option<PathBuf> = None;
-        {
-            let mut wake = lock(&router.wake);
-            if let Some((listener, path)) = self.unix {
-                wake.push(ServerAddr::Unix(path.clone()));
-                unix_path = Some(path);
-                listeners.push(RouterListener::Unix(listener));
-            }
-            if let Some(listener) = self.tcp {
-                wake.push(ServerAddr::Tcp(listener.local_addr()?.to_string()));
-                listeners.push(RouterListener::Tcp(listener));
-            }
-        }
-        let live = Arc::new(AtomicUsize::new(0));
-        let panicked = Arc::new(AtomicUsize::new(0));
-        let accept_error: Option<ServeError> = std::thread::scope(|scope| {
-            let handles: Vec<_> = listeners
-                .iter()
-                .map(|listener| {
-                    let router = &router;
-                    let live = &live;
-                    let panicked = &panicked;
-                    scope.spawn(move || accept_loop(listener, router, live, panicked))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                        .err()
-                })
-                .next()
+        let config = ServerConfig {
+            max_frame: router.cfg.max_frame,
+            drain: router.cfg.drain,
+            // Relay sessions never time out on an idle client; shutdown
+            // closes them instead.
+            read_timeout: None,
+            ..ServerConfig::default()
+        };
+        // The router's `stats` reply aggregates the shards' counters; its
+        // own accept and shed tallies are not surfaced.
+        let counters = ServerCounters::default();
+        let max_frame = config.max_frame;
+        let relay_router = Arc::clone(&router);
+        let served = self.0.serve_with(&config, &counters, move |stream, conn| {
+            let mut reader = BufReader::new(stream.try_clone()?);
+            let mut relay = Relay::new(Arc::clone(&relay_router), conn, stream);
+            frame_loop(&mut reader, max_frame, None, &mut relay)
         });
-        if let Some(path) = unix_path {
-            let _ = std::fs::remove_file(path);
-        }
-        // Sessions notice the shutdown flag at their next idle tick.
-        let deadline = Instant::now() + router.cfg.drain;
-        while live.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let leaked = live.load(Ordering::SeqCst);
         let fleet = router.drain_fleet();
-        if let Some(e) = accept_error {
-            return Err(e);
-        }
-        let panics = panicked.load(Ordering::SeqCst);
-        if panics > 0 {
-            return Err(ServeError::WorkerPanicked(panics));
-        }
-        if leaked > 0 {
-            return Err(ServeError::LeakedWorkers(leaked));
-        }
+        served?;
         fleet.map_err(ServeError::Io)
-    }
-}
-
-enum RouterListener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl RouterListener {
-    fn accept(&self) -> std::io::Result<Stream> {
-        match self {
-            RouterListener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            RouterListener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
-            }),
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &RouterListener,
-    router: &Arc<Router>,
-    live: &Arc<AtomicUsize>,
-    panicked: &Arc<AtomicUsize>,
-) -> Result<(), ServeError> {
-    loop {
-        let stream = match listener.accept() {
-            Ok(stream) => stream,
-            Err(e) if router.is_shutdown() => {
-                let _ = e;
-                return Ok(());
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionAborted | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
-            Err(e) => return Err(ServeError::Io(e)),
-        };
-        if router.is_shutdown() {
-            return Ok(());
-        }
-        let conn_id = router.next_conn.fetch_add(1, Ordering::SeqCst);
-        let router = Arc::clone(router);
-        let live = Arc::clone(live);
-        let panicked = Arc::clone(panicked);
-        live.fetch_add(1, Ordering::SeqCst);
-        std::thread::spawn(move || {
-            struct EndGuard {
-                live: Arc<AtomicUsize>,
-                panicked: Arc<AtomicUsize>,
-            }
-            impl Drop for EndGuard {
-                fn drop(&mut self) {
-                    if std::thread::panicking() {
-                        self.panicked.fetch_add(1, Ordering::SeqCst);
-                    }
-                    self.live.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let _guard = EndGuard { live, panicked };
-            relay_session(router, stream, conn_id);
-        });
-    }
-}
-
-/// Reads one newline-terminated frame (mirrors `Client::recv`,
-/// including the frame cap).
-fn read_frame(reader: &mut BufReader<Stream>, max_frame: usize) -> std::io::Result<Option<String>> {
-    let mut buf = Vec::new();
-    let limit = max_frame as u64 + 1;
-    let n = std::io::Read::take(reader, limit).read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if !buf.ends_with(b"\n") && n as u64 >= limit {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame exceeds the {max_frame} byte cap"),
-        ));
-    }
-    while buf.last() == Some(&b'\n') || buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
-}
-
-/// One client session: read a line, route it, forward it, write the
-/// reply — sequentially, which every protocol version tolerates
-/// (responses stay id-correlated). The read timeout doubles as the
-/// shutdown poll.
-fn relay_session(router: Arc<Router>, stream: Stream, conn_id: u64) {
-    let max_frame = router.cfg.max_frame;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut relay = Relay::new(Arc::clone(&router), conn_id);
-    loop {
-        if router.is_shutdown() {
-            return;
-        }
-        let line = match read_frame(&mut reader, max_frame) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // client EOF
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let out = match relay.handle_line(&line) {
-            Ok(out) => out,
-            Err(_) => {
-                // The whole fleet stayed unreachable past every retry
-                // and failover: answer structurally rather than
-                // dropping the client.
-                let id = parse_json(&line)
-                    .ok()
-                    .and_then(|j| j.get("id").cloned())
-                    .unwrap_or(Json::Null);
-                let reject = proto::Reject {
-                    id,
-                    code: proto::code::SHARD_UNAVAILABLE,
-                    message: "no shard reachable for this request".to_string(),
-                };
-                RelayOut::Frames(vec![proto::error_frame(&reject)])
-            }
-        };
-        let (frames, then_shutdown) = match out {
-            RelayOut::Frames(frames) => (frames, false),
-            RelayOut::Shutdown(ack) => (vec![ack], true),
-        };
-        let mut buf = String::with_capacity(frames.iter().map(|f| f.len() + 1).sum());
-        for frame in &frames {
-            buf.push_str(frame);
-            buf.push('\n');
-        }
-        if writer.write_all(buf.as_bytes()).is_err() {
-            return;
-        }
-        let _ = writer.flush();
-        if then_shutdown {
-            router.begin_shutdown();
-            return;
-        }
     }
 }
 

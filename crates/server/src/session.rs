@@ -1,5 +1,5 @@
 //! A per-connection session: the handle table, the request dispatcher, and
-//! the pipelined (protocol v2) connection loop.
+//! the connection loop.
 //!
 //! Handles are **session-scoped**: `typecheck {"handle": …}` resolves only
 //! what *this* connection registered, so a connection's responses are a
@@ -8,39 +8,45 @@
 //! process-wide ([`crate::state::Shared`]); registration of
 //! already-registered content is a hash lookup.
 //!
-//! # Sequential v1, pipelined v2
+//! # One connection loop
 //!
-//! Every connection starts sequential (protocol v1): one frame in, one
-//! frame out, request order. A `hello` with `max_v: 2` upgrades the
-//! connection to the pipelined loop ([`serve_stream`] switches over after
-//! writing the hello reply):
+//! [`frame_loop`] is the only place a server reads frames: it enforces the
+//! frame cap, answers `oversized-frame`, `malformed-frame` and the idle
+//! `read-timeout`, skips blank lines, and hands each request line to the
+//! connection ([`Conn`]). Daemon sessions and the router's relay sessions
+//! both run on it. For a session, the only depth-dependent choices are
+//! where a job runs and where its reply goes:
 //!
-//! * the **reader** keeps pulling frames. Order-sensitive or cheap ops
-//!   (`hello`, `ping`, `register`, `register_bin`, `stats`) execute right
+//! * at **depth 1** — v1, and v2 at `pipeline: 1` — every request runs
+//!   on the connection thread and its reply is written and flushed before
+//!   the next frame is read: request order, no extra threads;
+//! * when a v2 `hello` grants **depth ≥2**, the same loop moves to a
+//!   reader thread. Order-sensitive or cheap ops (`hello`, `ping`,
+//!   `register`, `register_bin`, `update`, `stats`) still execute right
 //!   there, in request order — so the handle table always reflects the
 //!   request prefix, and a `typecheck` by handle sent after its `register`
-//!   can never miss;
-//! * expensive ops (`typecheck`, `batch`, `batch_bin`) are *planned* in
-//!   the reader (handles resolved against the session table, thread counts
-//!   clamped) and dispatched to a per-connection **worker pool**. At most
-//!   `pipeline` (the negotiated depth) jobs are in flight; the reader
-//!   blocks admission beyond that — backpressure by not reading;
-//! * a single **writer** drains a batched outbox ([`Outbox`]), writing
-//!   responses in completion order with one `write` + one flush per
-//!   batch — thousands of memo-hit responses coalesce into a handful of
-//!   syscalls.
+//!   can never miss. Expensive ops (`typecheck`, `batch`, `batch_bin`) are
+//!   *planned* in the reader (handles resolved, thread counts clamped) and
+//!   dispatched to a per-connection **worker pool**; at most `pipeline`
+//!   jobs are in flight ([`Gate`]), and the reader blocks admission beyond
+//!   that — backpressure by not reading. A single **writer** drains a
+//!   batched [`Outbox`], one `write` + one flush per batch, so thousands of
+//!   memo-hit responses coalesce into a handful of syscalls.
 //!
 //! Because planning happens in request order and each job's result depends
 //! only on its own resolved inputs (verdicts are content-derived, the
 //! shared cache never changes outcomes), the response *bytes per id* are
 //! a pure function of the request stream at every depth — the property the
 //! differential suite pins against sequential v1 and one-shot runs. Only
-//! the response *order* is scheduling-dependent, and ids are the
-//! correlation key.
+//! the response *order* at depth ≥2 is scheduling-dependent, and ids are
+//! the correlation key.
 
-use crate::proto::{self, code, BatchItemReq, Edit, Op, Reject, Request, ResponseBuilder, Target};
+use crate::proto::{
+    self, code, BatchItemReq, Edit, Op, Raw, Reject, Request, ResponseBuilder, Target,
+};
 use crate::state::{apply_edit, Prepared, ServerCounters, Shared};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -98,7 +104,7 @@ pub struct Session {
 enum Planned {
     /// Answer (or already answered) synchronously.
     Reply(String, Control),
-    /// Ship to the worker pool (v2) or execute inline (v1).
+    /// Ship to the worker pool (depth ≥2) or execute inline (depth 1).
     Job(Job),
 }
 
@@ -193,23 +199,6 @@ impl Session {
         self.read_timeout = timeout;
     }
 
-    /// Whether `e` is the armed read timeout firing (never true when no
-    /// timeout was declared — a genuine `WouldBlock` on an unarmed stream
-    /// stays a hard error).
-    fn is_read_timeout(&self, e: &std::io::Error) -> bool {
-        self.read_timeout.is_some()
-            && matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            )
-    }
-
-    /// The armed timeout in milliseconds (0 when none; only used for the
-    /// `read-timeout` frame text, which requires one to be armed).
-    fn read_timeout_ms(&self) -> u64 {
-        self.read_timeout.map_or(0, |d| d.as_millis() as u64)
-    }
-
     /// The connection's negotiated protocol version.
     pub fn version(&self) -> u64 {
         self.version
@@ -221,8 +210,8 @@ impl Session {
     }
 
     /// Handles one frame synchronously, producing the response line (no
-    /// `\n`) and the control verdict — the v1 path, and the semantic
-    /// reference the pipelined loop must agree with per id. Panics inside
+    /// `\n`) and the control verdict — the depth-1 path, and the semantic
+    /// reference the worker pool must agree with per id. Panics inside
     /// request handling are caught and answered with an `internal` error —
     /// one adversarial request must not take down the connection, let
     /// alone the server.
@@ -596,22 +585,9 @@ impl Session {
         let status = update_status(&self.shared, &old, &new, &fp_old, &fp_new);
         self.handles.insert(new.handle.clone(), Arc::clone(&new));
         let b = ResponseBuilder::new(id, true).str_field("handle", &new.handle);
-        let b = match &status {
-            ItemStatus::TypeChecks => b.str_field("status", "typechecks"),
-            ItemStatus::CounterExample { input, output } => {
-                let b = b
-                    .str_field("status", "counterexample")
-                    .str_field("input", input);
-                match output {
-                    Some(o) => b.str_field("output", o),
-                    None => b.null_field("output"),
-                }
-            }
-            ItemStatus::Error { message } => {
-                b.str_field("status", "error").str_field("message", message)
-            }
-        };
-        b.num_field("components_reused", reused).finish()
+        status_fields(b, &status)
+            .num_field("components_reused", reused)
+            .finish()
     }
 }
 
@@ -795,152 +771,188 @@ fn panic_frame(id: Json, payload: &(dyn std::any::Any + Send)) -> String {
 /// Renders a typecheck status response (shared by `typecheck` results and
 /// mirrored by the per-item records inside batch reports).
 fn status_reply(id: &Json, status: &ItemStatus) -> String {
+    status_fields(ResponseBuilder::new(id, true), status).finish()
+}
+
+/// Appends a verdict's `status` field and its companions (`input` and
+/// `output` for a counterexample, `message` for an error).
+fn status_fields(b: ResponseBuilder, status: &ItemStatus) -> ResponseBuilder {
     match status {
-        ItemStatus::TypeChecks => ResponseBuilder::new(id, true)
-            .str_field("status", "typechecks")
-            .finish(),
+        ItemStatus::TypeChecks => b.str_field("status", "typechecks"),
         ItemStatus::CounterExample { input, output } => {
-            let b = ResponseBuilder::new(id, true)
+            let b = b
                 .str_field("status", "counterexample")
                 .str_field("input", input);
             match output {
                 Some(o) => b.str_field("output", o),
                 None => b.null_field("output"),
             }
-            .finish()
         }
-        ItemStatus::Error { message } => ResponseBuilder::new(id, true)
-            .str_field("status", "error")
-            .str_field("message", message)
-            .finish(),
+        ItemStatus::Error { message } => {
+            b.str_field("status", "error").str_field("message", message)
+        }
     }
 }
 
-/// What [`read_raw`] found on the stream.
-enum Raw {
-    /// The stream ended.
-    Eof,
-    /// The line exceeds the frame cap (the buffer holds a prefix).
-    Oversized,
-    /// `buf` holds one complete frame (newline stripped).
-    Ready,
+/// Why a connection stopped reading, as the depth-1 loop sees it.
+enum InlineStop {
+    /// The connection is done.
+    End(SessionEnd),
+    /// A v2 `hello` granted a pipeline depth of 2 or more: the worker
+    /// pool takes the connection over.
+    Pool,
 }
 
-/// Reads one newline-terminated frame into `buf` (cleared first),
-/// enforcing the size cap without unbounded buffering.
-fn read_raw<R: BufRead>(
+impl From<SessionEnd> for InlineStop {
+    fn from(end: SessionEnd) -> InlineStop {
+        InlineStop::End(end)
+    }
+}
+
+/// One connection's side of [`frame_loop`]: what a request line does, and
+/// where replies go.
+pub(crate) trait Conn {
+    /// Why this connection stops reading (at least every [`SessionEnd`]).
+    type Stop: From<SessionEnd>;
+
+    /// Answers one request line; `Some` stops reading.
+    fn request(&mut self, line: &str) -> std::io::Result<Option<Self::Stop>>;
+
+    /// Delivers a frame-level error reply (oversized, malformed, read
+    /// timeout) promptly.
+    fn reply(&mut self, frame: &str) -> std::io::Result<()>;
+
+    /// Whether no request is in flight, so the idle read timeout may close
+    /// the connection — a pipelined client quietly waiting for its own
+    /// responses is not idle.
+    fn idle(&self) -> bool {
+        true
+    }
+
+    /// Whether the response direction is gone, so reading must stop.
+    fn closed(&self) -> bool {
+        false
+    }
+}
+
+/// The connection loop: reads frames under the `max_frame` cap, answers
+/// frame-level errors (`oversized-frame` closes, `malformed-frame` does
+/// not, an idle `read-timeout` closes), skips blank lines, and hands every
+/// other line to `conn`. Daemon sessions at every depth and the router's
+/// relay sessions all run here.
+///
+/// `read_timeout` is the window the transport armed on the stream, if
+/// any; without one, a `WouldBlock`/`TimedOut` read stays a hard error.
+pub(crate) fn frame_loop<R: BufRead, C: Conn>(
     reader: &mut R,
     max_frame: usize,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<Raw> {
-    buf.clear();
-    // Read at most one byte past the cap: a line that long is oversized
-    // whether or not its newline ever arrives.
-    let n = reader
-        .by_ref()
-        .take(max_frame as u64 + 1)
-        .read_until(b'\n', buf)?;
-    if n == 0 {
-        return Ok(Raw::Eof);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
+    read_timeout: Option<Duration>,
+    conn: &mut C,
+) -> std::io::Result<C::Stop> {
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        if conn.closed() {
+            // The writer's error is what the caller reports. A reader
+            // parked in a blocking read holds no pending responses, so
+            // only frames that actually arrive reach this check — memory
+            // stays bounded either way.
+            return Ok(SessionEnd::Eof.into());
+        }
+        match proto::read_raw(reader, max_frame, &mut buf) {
+            Err(e)
+                if read_timeout.is_some()
+                    && matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+            {
+                if !conn.idle() {
+                    continue;
+                }
+                let ms = read_timeout.map_or(0, |d| d.as_millis() as u64);
+                conn.reply(&proto::error_frame(&proto::read_timeout_reject(ms)))?;
+                return Ok(SessionEnd::TimedOut.into());
+            }
+            Err(e) => return Err(e),
+            Ok(Raw::Eof) => return Ok(SessionEnd::Eof.into()),
+            Ok(Raw::Oversized) => {
+                conn.reply(&proto::error_frame(&proto::oversized_reject(max_frame)))?;
+                return Ok(SessionEnd::Oversized.into());
+            }
+            Ok(Raw::Ready) => {}
+        }
+        if buf.iter().all(u8::is_ascii_whitespace) {
+            continue;
+        }
+        let stop = match std::str::from_utf8(&buf) {
+            Ok(line) => conn.request(line)?,
+            Err(_) => {
+                conn.reply(&proto::error_frame(&proto::bad_utf8_reject()))?;
+                None
+            }
+        };
+        if let Some(stop) = stop {
+            return Ok(stop);
         }
     }
-    if buf.len() > max_frame {
-        return Ok(Raw::Oversized);
-    }
-    Ok(Raw::Ready)
 }
 
-/// The `oversized-frame` reject for the configured cap.
-fn oversized_reject(max_frame: usize) -> Reject {
-    Reject {
-        id: Json::Null,
-        code: code::OVERSIZED_FRAME,
-        message: format!("frame exceeds {max_frame} bytes; closing the connection"),
+/// A depth-1 connection (v1, and v2 at `pipeline: 1`): every request runs
+/// on the connection thread, and its reply is written and flushed before
+/// the next frame is read.
+struct Inline<'a, W> {
+    session: &'a mut Session,
+    writer: &'a mut W,
+}
+
+impl<W: Write> Conn for Inline<'_, W> {
+    type Stop = InlineStop;
+
+    fn request(&mut self, line: &str) -> std::io::Result<Option<InlineStop>> {
+        let (reply, control) = self.session.handle_frame(line);
+        let respond_span = xmlta_obs::span("respond");
+        self.reply(&reply)?;
+        respond_span.finish();
+        Ok(if control == Control::Shutdown {
+            Some(InlineStop::End(SessionEnd::Shutdown))
+        } else if self.session.depth >= 2 {
+            Some(InlineStop::Pool)
+        } else {
+            None
+        })
+    }
+
+    fn reply(&mut self, frame: &str) -> std::io::Result<()> {
+        writeln!(self.writer, "{frame}")?;
+        self.writer.flush()
     }
 }
 
-/// The `malformed-frame` reject for a non-UTF-8 frame.
-fn bad_utf8_reject() -> Reject {
-    Reject {
-        id: Json::Null,
-        code: code::MALFORMED_FRAME,
-        message: "frame is not valid UTF-8".to_string(),
-    }
-}
-
-/// Runs a session over a framed byte stream until EOF, shutdown, or an
-/// oversized frame. In v1 mode it writes one response line per request
-/// line, in request order, flushing after each. When a `hello` negotiates
-/// protocol 2 the loop hands over to the pipelined engine: responses then
-/// arrive in completion order (correlated by id) and flushes coalesce.
+/// Runs a session over a framed byte stream until EOF, shutdown, a read
+/// timeout, or an oversized frame. At depth 1 it writes one response line
+/// per request line, in request order, flushing after each. When a v2
+/// `hello` grants a pipeline depth of 2 or more, the same loop carries on
+/// with the worker pool: responses then arrive in completion order
+/// (correlated by id) and flushes coalesce.
 pub fn serve_stream<R: BufRead + Send, W: Write>(
     session: &mut Session,
     mut reader: R,
     mut writer: W,
     max_frame: usize,
 ) -> std::io::Result<SessionEnd> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let raw = match read_raw(&mut reader, max_frame, &mut buf) {
-            Ok(raw) => raw,
-            Err(e) if session.is_read_timeout(&e) => {
-                // The armed idle window elapsed with no frame: tell the
-                // client why in-band, then close. A v1 connection is never
-                // mid-request here — reads only happen between requests.
-                writeln!(
-                    writer,
-                    "{}",
-                    proto::error_frame(&proto::read_timeout_reject(session.read_timeout_ms()))
-                )?;
-                writer.flush()?;
-                ServerCounters::bump(&session.shared.counters().read_timeouts);
-                return Ok(SessionEnd::TimedOut);
-            }
-            Err(e) => return Err(e),
-        };
-        match raw {
-            Raw::Eof => return Ok(SessionEnd::Eof),
-            Raw::Oversized => {
-                writeln!(
-                    writer,
-                    "{}",
-                    proto::error_frame(&oversized_reject(max_frame))
-                )?;
-                writer.flush()?;
-                return Ok(SessionEnd::Oversized);
-            }
-            Raw::Ready => {}
-        }
-        if buf.iter().all(u8::is_ascii_whitespace) {
-            continue;
-        }
-        let line = match std::str::from_utf8(&buf) {
-            Ok(line) => line,
-            Err(_) => {
-                writeln!(writer, "{}", proto::error_frame(&bad_utf8_reject()))?;
-                writer.flush()?;
-                continue;
-            }
-        };
-        let (reply, control) = session.handle_frame(line);
-        let respond_span = xmlta_obs::span("respond");
-        writeln!(writer, "{reply}")?;
-        writer.flush()?;
-        respond_span.finish();
-        if control == Control::Shutdown {
-            return Ok(SessionEnd::Shutdown);
-        }
-        if session.version >= 2 {
-            // The hello reply above was the last sequential frame; every
-            // frame from here on flows through the pipelined engine.
-            return serve_pipelined(session, &mut reader, &mut writer, max_frame);
-        }
+    let read_timeout = session.read_timeout;
+    let mut inline = Inline {
+        session: &mut *session,
+        writer: &mut writer,
+    };
+    let end = match frame_loop(&mut reader, max_frame, read_timeout, &mut inline)? {
+        InlineStop::End(end) => end,
+        InlineStop::Pool => serve_pooled(session, &mut reader, &mut writer, max_frame)?,
+    };
+    if end == SessionEnd::TimedOut {
+        ServerCounters::bump(&session.shared.counters().read_timeouts);
     }
+    Ok(end)
 }
 
 /// Admission gate for in-flight jobs: a counter under a mutex with a
@@ -1131,8 +1143,8 @@ impl Outbox {
     }
 }
 
-/// The pipelined (protocol v2) connection loop. See the module docs for
-/// the architecture; invariants worth restating:
+/// A pooled connection (depth ≥2) as the frame loop sees it. Invariants
+/// worth restating:
 ///
 /// * job admission and all session-state mutation happen on the reader
 ///   thread in request order;
@@ -1142,22 +1154,78 @@ impl Outbox {
 /// * the outbox never blocks producers, so workers and the reader never
 ///   wait on a slow writer — the server keeps reading (absorbing
 ///   arbitrarily deep client pipelining) while the writer catches up.
-fn serve_pipelined<R: BufRead + Send, W: Write>(
+struct Pooled<'a> {
+    session: &'a mut Session,
+    gate: &'a Gate,
+    outbox: &'a Outbox,
+    jobs: mpsc::Sender<Job>,
+    /// Set when the writer dies (broken pipe): nothing drains the outbox
+    /// anymore, so serving on would accumulate response bytes for a peer
+    /// that can no longer hear them.
+    writer_dead: &'a AtomicBool,
+}
+
+impl Conn for Pooled<'_> {
+    type Stop = SessionEnd;
+
+    fn request(&mut self, line: &str) -> std::io::Result<Option<SessionEnd>> {
+        match self.session.plan_line(line) {
+            // Synchronous replies want prompt delivery (a ping must not
+            // wait out a batch window).
+            Planned::Reply(reply, Control::Continue) => {
+                let respond_span = xmlta_obs::span("respond");
+                self.outbox.push(&reply, true);
+                respond_span.finish();
+            }
+            Planned::Reply(reply, Control::Shutdown) => {
+                // Every in-flight response is queued before the shutdown
+                // acknowledgment, making it the last frame on the
+                // connection.
+                self.gate.drain();
+                self.outbox.push(&reply, true);
+                return Ok(Some(SessionEnd::Shutdown));
+            }
+            Planned::Job(job) => {
+                self.gate.admit(self.session.depth);
+                if self.jobs.send(job).is_err() {
+                    // Workers are gone (cannot happen while this sender
+                    // lives; defensive).
+                    self.gate.release();
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    fn reply(&mut self, frame: &str) -> std::io::Result<()> {
+        self.outbox.push(frame, true);
+        Ok(())
+    }
+
+    fn idle(&self) -> bool {
+        self.gate.inflight() == 0
+    }
+
+    fn closed(&self) -> bool {
+        self.writer_dead.load(Ordering::Relaxed)
+    }
+}
+
+/// The rest of a connection whose `hello` granted depth ≥2: the frame
+/// loop moves to a reader thread feeding `min(depth, cores)` workers,
+/// and this thread becomes the writer. See the module docs.
+fn serve_pooled<R: BufRead + Send, W: Write>(
     session: &mut Session,
     reader: &mut R,
     writer: &mut W,
     max_frame: usize,
 ) -> std::io::Result<SessionEnd> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
     let depth = session.depth;
     let workers = depth.min(session.max_batch_threads).max(1);
+    let read_timeout = session.read_timeout;
     let shared = Arc::clone(&session.shared);
     let gate = Gate::new(depth);
     let outbox = Outbox::new(workers + 1, depth / 2);
-    // Set when the writer dies (broken pipe): the reader must stop
-    // serving — nothing drains the outbox anymore, so continuing would
-    // accumulate response bytes for a peer that can no longer hear them.
     let writer_dead = AtomicBool::new(false);
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Mutex::new(job_rx);
@@ -1192,88 +1260,21 @@ fn serve_pipelined<R: BufRead + Send, W: Write>(
         }
 
         let reader_end = {
-            let gate = &gate;
             let outbox = &outbox;
-            let writer_dead = &writer_dead;
-            let session = &mut *session;
-            scope.spawn(move || -> std::io::Result<SessionEnd> {
-                let job_tx = job_tx; // moved: dropped when the reader exits
-                let mut buf: Vec<u8> = Vec::new();
-                let end = loop {
-                    if writer_dead.load(Ordering::Relaxed) {
-                        // The response direction is gone; treat the
-                        // connection as closed (the writer's error is what
-                        // the caller will see). A reader already parked in
-                        // a blocking read holds no pending responses, so
-                        // only frames that actually arrive reach this
-                        // check — memory stays bounded either way.
-                        break SessionEnd::Eof;
-                    }
-                    match read_raw(reader, max_frame, &mut buf) {
-                        Err(e) if session.is_read_timeout(&e) => {
-                            // The idle window elapsed — but a pipelined
-                            // client legitimately goes quiet while it
-                            // waits for in-flight work, so only a truly
-                            // idle connection (nothing in flight) times
-                            // out; otherwise re-arm and keep waiting.
-                            if gate.inflight() > 0 {
-                                continue;
-                            }
-                            outbox.push(
-                                &proto::error_frame(&proto::read_timeout_reject(
-                                    session.read_timeout_ms(),
-                                )),
-                                true,
-                            );
-                            ServerCounters::bump(&session.shared.counters().read_timeouts);
-                            break SessionEnd::TimedOut;
-                        }
-                        Err(e) => {
-                            outbox.leave();
-                            return Err(e);
-                        }
-                        Ok(Raw::Eof) => break SessionEnd::Eof,
-                        Ok(Raw::Oversized) => {
-                            outbox.push(&proto::error_frame(&oversized_reject(max_frame)), true);
-                            break SessionEnd::Oversized;
-                        }
-                        Ok(Raw::Ready) => {}
-                    }
-                    if buf.iter().all(u8::is_ascii_whitespace) {
-                        continue;
-                    }
-                    let Ok(line) = std::str::from_utf8(&buf) else {
-                        outbox.push(&proto::error_frame(&bad_utf8_reject()), true);
-                        continue;
-                    };
-                    match session.plan_line(line) {
-                        // Synchronous replies want prompt delivery (a ping
-                        // must not wait out a batch window).
-                        Planned::Reply(reply, Control::Continue) => {
-                            let respond_span = xmlta_obs::span("respond");
-                            outbox.push(&reply, true);
-                            respond_span.finish();
-                        }
-                        Planned::Reply(reply, Control::Shutdown) => {
-                            // Every in-flight response is queued before the
-                            // shutdown acknowledgment, making it the last
-                            // frame on the connection.
-                            gate.drain();
-                            outbox.push(&reply, true);
-                            break SessionEnd::Shutdown;
-                        }
-                        Planned::Job(job) => {
-                            gate.admit(session.depth);
-                            if job_tx.send(job).is_err() {
-                                // Workers are gone (cannot happen while
-                                // this sender lives; defensive).
-                                gate.release();
-                            }
-                        }
-                    }
-                };
+            let mut conn = Pooled {
+                session: &mut *session,
+                gate: &gate,
+                outbox,
+                jobs: job_tx,
+                writer_dead: &writer_dead,
+            };
+            scope.spawn(move || {
+                let end = frame_loop(reader, max_frame, read_timeout, &mut conn);
+                // Dropping the job sender lets the workers exit once the
+                // queue drains.
+                drop(conn);
                 outbox.leave();
-                Ok(end)
+                end
             })
         };
 

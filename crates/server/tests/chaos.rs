@@ -21,8 +21,9 @@
 //!    proves no worker panicked, no worker leaked past the drain window,
 //!    and no registry lock was poisoned.
 
+mod support;
+
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use xmlta_server::fault::{FaultProxy, Schedule};
@@ -41,12 +42,6 @@ const SERVER_READ_TIMEOUT: Duration = Duration::from_millis(150);
 /// Injected stalls run past the server timeout but stay well under the
 /// client's, so both reapers see action without wedging the test.
 const STALL: Duration = Duration::from_millis(250);
-
-fn tmp_sock(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("xmlta-chaos-{}-{tag}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
 
 /// The workload: register frames ride as the reconnect prelude (handles
 /// are session-scoped and registration is content-keyed idempotent);
@@ -100,8 +95,8 @@ enum Transport {
 /// One seed × schedule round; returns (reconnects, replayed,
 /// read_timeouts) observed.
 fn chaos_round(seed: u64, transport: Transport) -> (u64, u64, u64) {
-    let sock = tmp_sock(&format!("srv-{seed}"));
-    let proxy_sock = tmp_sock(&format!("proxy-{seed}"));
+    let sock = support::unique_path(&format!("srv-{seed}"));
+    let proxy_sock = support::unique_path(&format!("proxy-{seed}"));
     let shared = Shared::new();
     let config = ServerConfig {
         read_timeout: Some(SERVER_READ_TIMEOUT),
@@ -282,7 +277,7 @@ fn torn_frames_yield_structured_errors_not_hangs() {
     // server must answer with a structured `malformed-frame` error (or
     // nothing, if the torn bytes never formed a line) and carry on — and
     // a fresh connection must find the daemon fully functional.
-    let sock = tmp_sock("torn");
+    let sock = support::unique_path("torn");
     let shared = Shared::new();
     let config = ServerConfig {
         read_timeout: Some(SERVER_READ_TIMEOUT),

@@ -3,6 +3,8 @@
 //! run of the same script, regardless of scheduling — responses are a pure
 //! function of the connection's own requests.
 
+mod support;
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use xmlta_server::proto::{self, BatchItemReq, Target};
@@ -50,10 +52,7 @@ struct SocketPath(PathBuf);
 
 impl SocketPath {
     fn new(tag: &str) -> SocketPath {
-        let path =
-            std::env::temp_dir().join(format!("xmltad-test-{}-{tag}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        SocketPath(path)
+        SocketPath(support::unique_path(tag))
     }
 }
 

@@ -23,8 +23,9 @@
 //!    serve thread returns `Ok`, which also proves no session worker
 //!    leaked or panicked and every shard exited on request.
 
+mod support;
+
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmlta_server::fault::{self, FleetSchedule};
@@ -47,13 +48,6 @@ const STALL: Duration = Duration::from_millis(700);
 /// fleet event (~460 ms), so chaos always lands mid-workload.
 const ROUND_PAUSE: Duration = Duration::from_millis(120);
 const ROUNDS: usize = 6;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xmlta-fleet-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
 
 /// The per-seed workload: register frames as the session prelude, then
 /// `ROUNDS` rounds of typecheck-by-handle work plus one monolithic and
@@ -155,11 +149,7 @@ fn run_workload(
 
 /// The fault-free single-daemon transcript of `wl`.
 fn baseline(seed: u64, wl: &Workload) -> (BTreeMap<u64, String>, BTreeMap<u64, Vec<String>>) {
-    let sock = std::env::temp_dir().join(format!(
-        "xmlta-fleet-base-{}-{seed}.sock",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&sock);
+    let sock = support::unique_path(&format!("base-{seed}"));
     let shared = Shared::new();
     let config = ServerConfig {
         drain: Duration::from_secs(5),
@@ -211,8 +201,8 @@ fn fleet_round(seed: u64) {
     }
 
     // The fleet: 3 shard daemons on one shared store.
-    let store = tmp_dir(&format!("store-{seed}"));
-    let runtime = tmp_dir(&format!("rt-{seed}"));
+    let store = support::unique_dir(&format!("store-{seed}"));
+    let runtime = support::unique_dir(&format!("rt-{seed}"));
     let cfg = RouterConfig {
         shards: SHARDS,
         store: Some(store.clone()),
@@ -224,11 +214,7 @@ fn fleet_round(seed: u64) {
         ..RouterConfig::default()
     };
     let router = Router::spawn(cfg).expect("fleet boots");
-    let front = std::env::temp_dir().join(format!(
-        "xmlta-fleet-front-{}-{seed}.sock",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&front);
+    let front = support::unique_path(&format!("front-{seed}"));
     let bound = RouterBound::bind(Some(&front), None).expect("bind router front");
     let serve = std::thread::spawn({
         let router = Arc::clone(&router);

@@ -8,6 +8,8 @@
 //! budget is consumed by the turn-away succeeds if and only if the
 //! final-attempt hint is honoured.
 
+mod support;
+
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -18,12 +20,6 @@ use xmlta_server::{proto, ResilientClient, RetryPolicy, ServerAddr};
 use xmlta_service::parse_json;
 
 const HINT_MS: u64 = 80;
-
-fn tmp_sock(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("xmlta-retry-{}-{tag}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
-}
 
 /// A fake daemon: the first `turn_away` connections get an overloaded
 /// frame (with the `retry_after_ms` hint) and an immediate close; later
@@ -79,7 +75,7 @@ fn fake_server(
 
 #[test]
 fn final_attempt_honors_the_retry_after_hint() {
-    let sock = tmp_sock("final-hint");
+    let sock = support::unique_path("final-hint");
     let (server, conns) = fake_server(&sock, 1);
     // One budgeted attempt: the turn-away consumes the entire budget, so
     // only the post-hint bonus attempt can reach the served connection.
@@ -116,7 +112,7 @@ fn final_attempt_honors_the_retry_after_hint() {
 
 #[test]
 fn persistent_overload_stays_terminal_after_one_bonus_attempt() {
-    let sock = tmp_sock("terminal");
+    let sock = support::unique_path("terminal");
     // Every connection is turned away: the client must give up after its
     // budget plus exactly one post-hint bonus — a persistently
     // overloaded server must not pin it in a hint loop.

@@ -5,18 +5,13 @@
 //! artifact from disk — byte-identical responses, `store_hits > 0`, and
 //! zero recompilation (`store_writes == 0`, `store_corrupt == 0`).
 
+mod support;
+
 use std::io::Cursor;
-use std::path::PathBuf;
 use std::sync::Arc;
 use xmlta_server::{proto, serve_stream, Session, Shared};
 use xmlta_service::{encode_stream, gen, parse_instance, ArtifactBackend};
 use xmlta_store::Store;
-
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xmlta-restart-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The session script both boots play: registrations, typechecks by
 /// handle and by source, and a binary batch. Deliberately no `stats`
@@ -58,7 +53,7 @@ fn boot_and_run(store: Arc<Store>) -> (String, xmlta_service::cache::CacheStats)
 
 #[test]
 fn second_boot_on_a_populated_store_is_warm_and_verdict_identical() {
-    let root = temp_root("warm");
+    let root = support::unique_path("warm");
 
     // Boot 1: empty store — everything misses, compiles, writes behind.
     let store = Arc::new(Store::open(&root).expect("store opens"));

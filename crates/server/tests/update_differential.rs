@@ -9,6 +9,8 @@
 //! expected verdict (a scratch server's reply) are both derived
 //! independently of the incremental path under test.
 
+mod support;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -98,12 +100,6 @@ fn random_edit(rng: &mut SmallRng, mirror: &Instance) -> Edit {
             rhs: SCHEMA_RHS[rng.gen_range(0..SCHEMA_RHS.len())].to_string(),
         }
     }
-}
-
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("xmlta-update-diff-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn make_shared(memo: bool, store_dir: Option<&PathBuf>) -> Arc<Shared> {
@@ -226,8 +222,8 @@ fn incremental_updates_match_from_scratch_across_configs() {
     ];
     for &(name, memo, store) in configs {
         let dirs = (
-            temp_root(&format!("{name}-incr")),
-            temp_root(&format!("{name}-scratch")),
+            support::unique_path(&format!("{name}-incr")),
+            support::unique_path(&format!("{name}-scratch")),
         );
         let (incr_dir, scratch_dir) = (&dirs.0, &dirs.1);
         let shared = make_shared(memo, store.then_some(incr_dir));
