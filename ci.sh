@@ -310,6 +310,14 @@ xmlta gen layered --count 1024 --layers 7 --width 4 --seed 7 \
     --out "$smoke/layered" > "$smoke/layered.txt"
 # shellcheck disable=SC2046
 xmlta convert $(cat "$smoke/layered.txt") --delta --out "$smoke/layered.xts"
+# The stream mixes full instance sections with instance-delta sections
+# (each decoded against the previous instance): unpacking it must give
+# back every generated file byte for byte.
+xmlta convert "$smoke/layered.xts" --out "$smoke/layered-unpacked" > /dev/null
+while read -r f; do
+    cmp "$f" "$smoke/layered-unpacked/$(basename "$f")" \
+        || { echo "layered .xts round-trip changed $(basename "$f")"; exit 1; }
+done < "$smoke/layered.txt"
 ./target/release/xmltad --socket "$sock" --trace "$trace" &
 daemon=$!
 for _ in $(seq 100); do [[ -S "$sock" ]] && break; sleep 0.1; done

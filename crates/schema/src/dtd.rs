@@ -147,11 +147,16 @@ impl StringLang {
 /// `d` maps every symbol to a [`StringLang`] constraining its children;
 /// symbols without an explicit rule are constrained to be leaves (children
 /// language `{ε}`), matching the common `EMPTY` declaration.
+///
+/// Cloning is cheap: the rule map sits behind an `Arc`, so a clone costs
+/// one reference-count bump and shares every rule language with the
+/// original. [`Dtd::set_rule`] copies the map on write when it is shared,
+/// so mutating a clone never changes the DTD it was cloned from.
 #[derive(Clone, Debug)]
 pub struct Dtd {
     alphabet_size: usize,
     start: Symbol,
-    rules: FxHashMap<Symbol, StringLang>,
+    rules: Arc<FxHashMap<Symbol, StringLang>>,
 }
 
 impl Dtd {
@@ -160,7 +165,7 @@ impl Dtd {
         Dtd {
             alphabet_size,
             start,
-            rules: FxHashMap::default(),
+            rules: Arc::default(),
         }
     }
 
@@ -232,13 +237,14 @@ impl Dtd {
         Ok(dtd)
     }
 
-    /// Sets (or replaces) the rule for `sym`.
+    /// Sets (or replaces) the rule for `sym`. When the rule map is shared
+    /// with a clone, it is copied first (copy-on-write).
     pub fn set_rule(&mut self, sym: Symbol, lang: StringLang) {
         self.alphabet_size = self.alphabet_size.max(sym.index() + 1);
         for l in lang.letters() {
             self.alphabet_size = self.alphabet_size.max(l as usize + 1);
         }
-        self.rules.insert(sym, lang);
+        Arc::make_mut(&mut self.rules).insert(sym, lang);
     }
 
     /// The rule for `sym`, if explicitly present.
@@ -267,6 +273,11 @@ impl Dtd {
     /// Grows the DTD's alphabet (new symbols default to the leaf rule).
     pub fn grow_alphabet(&mut self, n: usize) {
         self.alphabet_size = self.alphabet_size.max(n);
+    }
+
+    /// Number of explicitly defined rules.
+    pub fn num_rules(&self) -> usize {
+        self.rules.len()
     }
 
     /// Iterates over the explicitly defined rules.
@@ -338,7 +349,7 @@ impl Dtd {
     /// Converts every rule to a DFA: the resulting DTD is a `DTD(DFA)`.
     pub fn compile_to_dfas(&self) -> Dtd {
         let mut d = Dtd::new(self.alphabet_size, self.start);
-        for (sym, lang) in &self.rules {
+        for (sym, lang) in self.rules.iter() {
             d.set_rule(
                 *sym,
                 StringLang::Dfa(lang.to_shared_dfa(self.alphabet_size)),
@@ -462,7 +473,7 @@ impl Dtd {
         // any letter occurring in the rule representation).
         let n = self.alphabet_size;
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (&sym, lang) in &self.rules {
+        for (&sym, lang) in self.rules.iter() {
             adj[sym.index()] = lang.letters();
         }
         // DFS from start looking for a cycle.
@@ -727,6 +738,25 @@ mod tests {
         let d = Dtd::parse_replus("a -> b\nb -> a", &mut a).unwrap();
         assert!(d.is_recursive());
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn set_rule_on_a_clone_copies_on_write() {
+        let mut a = Alphabet::new();
+        let d = book_dtd(&mut a);
+        let mut e = d.clone();
+        assert!(Arc::ptr_eq(&d.rules, &e.rules), "a clone shares the rules");
+        let title = a.sym("title");
+        e.set_rule(
+            title,
+            StringLang::Regex(Regex::parse("author", &mut a).unwrap()),
+        );
+        assert!(!Arc::ptr_eq(&d.rules, &e.rules), "the write unshared them");
+        assert!(d.rule(title).is_none(), "original untouched");
+        assert_eq!((d.num_rules(), e.num_rules()), (3, 4));
+        let t = parse_tree("title(author)", &mut a).unwrap();
+        assert!(e.partly_satisfies(std::slice::from_ref(&t)));
+        assert!(!d.partly_satisfies(&[t]));
     }
 
     #[test]

@@ -310,6 +310,7 @@ pub fn check_instance(instance: &Arc<Instance>, cache: Option<&SchemaCache>) -> 
                 return hit;
             }
             memo_span.finish();
+            let _engine_span = xmlta_obs::span("engine");
             let status = render_status(typecheck_cached(cache, instance), instance);
             cache.memo_insert(fp, instance, &status);
             return status;
@@ -492,6 +493,46 @@ transducer {
         let pretty = crate::json::parse_json(&out.to_json()).expect("pretty report is JSON");
         let compact = crate::json::parse_json(&line).expect("line report is JSON");
         assert_eq!(pretty, compact);
+    }
+
+    #[test]
+    fn memo_miss_runs_under_an_engine_span() {
+        // A connection number no other test of this binary uses, so the
+        // shared trace ring can be filtered down to this test's events.
+        const CONN: u64 = 0x5EED_E161;
+        xmlta_obs::enable();
+        xmlta_obs::set_ctx(CONN, "1");
+        let cache = SchemaCache::new();
+        let instance = Arc::new(crate::parse_instance(GOOD).unwrap());
+        let root = xmlta_obs::span("check");
+        assert_eq!(
+            check_instance(&instance, Some(&cache)),
+            ItemStatus::TypeChecks
+        );
+        root.finish();
+        assert_eq!(cache.stats().memo_misses, 1, "the check was a memo miss");
+        let exits: Vec<crate::json::Json> = xmlta_obs::tracer()
+            .recent(xmlta_obs::TRACE_RING)
+            .iter()
+            .map(|line| crate::json::parse_json(line).expect("trace events are JSON"))
+            .filter(|ev| {
+                ev.get("conn").and_then(|c| c.as_u64()) == Some(CONN)
+                    && ev.get("ev").and_then(|e| e.as_str()) == Some("exit")
+            })
+            .collect();
+        let find = |name: &str| {
+            exits
+                .iter()
+                .position(|ev| ev.get("span").and_then(|s| s.as_str()) == Some(name))
+                .unwrap_or_else(|| panic!("no `{name}` span in {exits:?}"))
+        };
+        let depth = |i: usize| exits[i].get("depth").and_then(|d| d.as_u64());
+        let (root, engine) = (find("check"), find("engine"));
+        // Spans are emitted as they close: the engine span opened one
+        // level below the root and closed while the root was still open.
+        assert_eq!(depth(root), Some(0));
+        assert_eq!(depth(engine), Some(1), "engine is the root's child");
+        assert!(engine < root, "engine closes inside the root span");
     }
 
     #[test]

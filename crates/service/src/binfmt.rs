@@ -75,9 +75,12 @@
 //! A schema section replaces the active context; every instance section
 //! reuses it (symbol table included — names intern once per context, not
 //! once per instance), so a 1 000-instance fleet stream is one schema
-//! prefix plus 1 000 transducer frames. Sections are length-prefixed, so
-//! a decoder can skip or stream them without parsing bodies, and a body
-//! that does not consume exactly its declared length is rejected.
+//! prefix plus 1 000 transducer frames. The decoded instances of one
+//! context share its DTD rule maps (a [`Dtd`] clone is a reference-count
+//! bump); only the alphabet and the transducer are per-instance copies.
+//! Sections are length-prefixed, so a decoder can skip or stream them
+//! without parsing bodies, and a body that does not consume exactly its
+//! declared length is rejected.
 //!
 //! A **delta section** shares the *instance* across versions, the way a
 //! schema section shares the context across instances: when consecutive
@@ -89,6 +92,9 @@
 //! is then one schema prefix, one full transducer, and 999 rule-sized
 //! deltas. A delta is only valid directly after an instance (or another
 //! delta) under the same context; removing an absent rule is rejected.
+//! The decoder applies a delta by one sorted merge against the previous
+//! instance, read in place: O(base rules + delta) work, cloning only the
+//! base rules the delta keeps.
 
 use std::fmt;
 use typecheck_core::{Instance, Schema};
@@ -1045,15 +1051,24 @@ fn get_transducer(r: &mut Reader<'_>, table_len: usize) -> Result<Transducer, Bi
 /// be in strictly increasing `(q, sym)` order, every reference is bounds-
 /// checked against the base's header, and removing an absent rule is an
 /// error — a diff can never silently desynchronize from its base.
+///
+/// The successor is built by one sorted merge of the base's rules with the
+/// two lists, so the cost is O(base rules + delta) and only the base rules
+/// that survive (neither removed nor set) are cloned. The merged rules
+/// reach [`Transducer::from_parts`] in strictly increasing `(q, sym)`
+/// order — the same insertion sequence a full instance section produces.
 fn get_transducer_delta(r: &mut Reader<'_>, base: &Transducer) -> Result<Transducer, BinError> {
     let num_states = base.num_states();
     let sigma = base.alphabet_size();
     let num_selectors = base.selectors().len();
-    let mut rules: std::collections::BTreeMap<(u32, u32), Rhs> = base
-        .rules()
-        .map(|(q, sym, rhs)| ((q, sym.0), rhs.clone()))
-        .collect();
+    let base_rules = sorted_rules(base);
     let nremoved = r.count("delta removed-rule count")?;
+    // Whether each base rule survives the removals. Both the base and the
+    // removed list are strictly increasing, so one cursor over the base
+    // finds every removed key.
+    let mut kept = vec![true; base_rules.len()];
+    let key_at = |i: usize| base_rules.get(i).map(|&(q, a, _)| (q, a));
+    let mut cursor = 0;
     let mut prev: Option<(u32, u32)> = None;
     for _ in 0..nremoved {
         let q = r.id("delta removed-rule state")?;
@@ -1064,13 +1079,19 @@ fn get_transducer_delta(r: &mut Reader<'_>, base: &Transducer) -> Result<Transdu
             return Err(r.err("delta removed rules must be in strictly increasing order"));
         }
         prev = Some((q, sym));
-        if rules.remove(&(q, sym)).is_none() {
+        let key = (q, Symbol(sym));
+        while key_at(cursor).is_some_and(|k| k < key) {
+            cursor += 1;
+        }
+        if key_at(cursor) != Some(key) {
             return Err(r.err(format!(
                 "delta removes rule ({q}, symbol #{sym}) which the base does not have"
             )));
         }
+        kept[cursor] = false;
     }
     let nset = r.count("delta set-rule count")?;
+    let mut set = Vec::with_capacity(reserve(nset));
     let mut prev: Option<(u32, u32)> = None;
     for _ in 0..nset {
         let q = r.id("delta set-rule state")?;
@@ -1086,13 +1107,23 @@ fn get_transducer_delta(r: &mut Reader<'_>, base: &Transducer) -> Result<Transdu
         for _ in 0..nnodes {
             nodes.push(get_rhs_node(r, sigma, num_states, num_selectors, 0)?);
         }
-        rules.insert((q, sym), Rhs::new(nodes));
+        set.push(((q, Symbol(sym)), Rhs::new(nodes)));
     }
     let at = r.pos;
-    let rules: Vec<((u32, Symbol), Rhs)> = rules
-        .into_iter()
-        .map(|((q, sym), rhs)| ((q, Symbol(sym)), rhs))
-        .collect();
+    let mut rules = Vec::with_capacity(base_rules.len() - nremoved + set.len());
+    let mut set = set.into_iter().peekable();
+    for ((q, sym, rhs), kept) in base_rules.into_iter().zip(kept) {
+        let key = (q, sym);
+        while let Some(added) = set.next_if(|(k, _)| *k < key) {
+            rules.push(added);
+        }
+        match set.next_if(|(k, _)| *k == key) {
+            Some(replaced) => rules.push(replaced),
+            None if kept => rules.push((key, rhs.clone())),
+            None => {}
+        }
+    }
+    rules.extend(set);
     Transducer::from_parts(
         base.state_names().to_vec(),
         base.initial_state(),
@@ -1161,9 +1192,12 @@ pub fn decode_instance(bytes: &[u8]) -> Result<Instance, BinError> {
     })
 }
 
-/// Decodes a `.xts` delta stream into its named instances. Each instance
-/// clones the active schema context (compiled DTD rules are `Arc`-shared,
-/// so the clone is shallow where it matters) and owns its transducer.
+/// Decodes a `.xts` delta stream into its named instances. Every instance
+/// of a schema section shares that section's context: the alphabet is
+/// copied, but the DTD rule maps are `Arc`-shared ([`Dtd`] clones are a
+/// reference-count bump). Each instance owns its transducer; a delta
+/// section reads its base from the previous instance in place and costs
+/// O(base rules + delta), cloning only the base rules it keeps.
 ///
 /// Total like [`decode_instance`]: truncation, unknown section kinds,
 /// section bodies that over- or under-run their declared length, and
@@ -1186,10 +1220,11 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<(String, Instance)>, BinError> 
         ));
     }
     let mut context: Option<(Alphabet, Schema, Schema)> = None;
-    // The delta base: the previous section's transducer, cleared on a
-    // context switch (a delta right after a schema section is invalid).
-    let mut last: Option<Transducer> = None;
-    let mut out = Vec::new();
+    // The delta base: the index in `out` of the previous section's
+    // instance, cleared on a context switch (a delta right after a schema
+    // section is invalid).
+    let mut last: Option<usize> = None;
+    let mut out: Vec<(String, Instance)> = Vec::new();
     while r.pos < bytes.len() {
         let at = r.pos;
         let kind = r.u8("section kind")?;
@@ -1202,39 +1237,34 @@ pub fn decode_stream(bytes: &[u8]) -> Result<Vec<(String, Instance)>, BinError> 
                 context = Some(get_schema_context(&mut r)?);
                 last = None;
             }
-            SECTION_INSTANCE => {
+            SECTION_INSTANCE | SECTION_INSTANCE_DELTA => {
+                let section = if kind == SECTION_INSTANCE {
+                    "instance"
+                } else {
+                    "delta"
+                };
                 let Some((alphabet, input, output)) = &context else {
                     return Err(BinError::new(
                         at,
-                        "instance section before any schema section",
+                        format!("{section} section before any schema section"),
                     ));
                 };
-                let name = r.str("instance name")?.to_string();
-                let transducer = get_transducer(&mut r, alphabet.len())?;
-                last = Some(transducer.clone());
-                out.push((
-                    name,
-                    Instance {
-                        alphabet: alphabet.clone(),
-                        input: input.clone(),
-                        output: output.clone(),
-                        transducer,
-                    },
-                ));
-            }
-            SECTION_INSTANCE_DELTA => {
-                let Some((alphabet, input, output)) = &context else {
-                    return Err(BinError::new(at, "delta section before any schema section"));
-                };
-                let Some(base) = &last else {
-                    return Err(BinError::new(
-                        at,
-                        "delta section without a preceding instance in this context",
-                    ));
+                let base = match (kind, last) {
+                    (SECTION_INSTANCE, _) => None,
+                    (_, Some(i)) => Some(&out[i].1.transducer),
+                    (_, None) => {
+                        return Err(BinError::new(
+                            at,
+                            "delta section without a preceding instance in this context",
+                        ))
+                    }
                 };
                 let name = r.str("instance name")?.to_string();
-                let transducer = get_transducer_delta(&mut r, base)?;
-                last = Some(transducer.clone());
+                let transducer = match base {
+                    None => get_transducer(&mut r, alphabet.len())?,
+                    Some(base) => get_transducer_delta(&mut r, base)?,
+                };
+                last = Some(out.len());
                 out.push((
                     name,
                     Instance {

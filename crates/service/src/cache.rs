@@ -617,18 +617,11 @@ fn finish(h: FxHasher) -> u64 {
 /// Structural equality of two DTDs (the cache-hit verification; see
 /// [`Inner`]).
 fn dtd_eq(a: &Dtd, b: &Dtd) -> bool {
-    if a.alphabet_size() != b.alphabet_size() || a.start() != b.start() {
-        return false;
-    }
-    let mut ra: Vec<_> = a.rules().collect();
-    let mut rb: Vec<_> = b.rules().collect();
-    ra.sort_by_key(|(s, _)| *s);
-    rb.sort_by_key(|(s, _)| *s);
-    ra.len() == rb.len()
-        && ra
-            .iter()
-            .zip(&rb)
-            .all(|((sa, la), (sb, lb))| sa == sb && lang_eq(la, lb))
+    a.alphabet_size() == b.alphabet_size()
+        && a.start() == b.start()
+        && a.num_rules() == b.num_rules()
+        && a.rules()
+            .all(|(s, la)| b.rule(s).is_some_and(|lb| lang_eq(la, lb)))
 }
 
 /// Structural equality of two rule languages.
@@ -1007,14 +1000,7 @@ fn transducer_eq(a: &Transducer, b: &Transducer) -> bool {
     {
         return false;
     }
-    sorted_rules(a) == sorted_rules(b)
-}
-
-/// All transducer rules in canonical `(state, symbol)` order.
-fn sorted_rules(t: &Transducer) -> Vec<(u32, xmlta_base::Symbol, &Rhs)> {
-    let mut rules: Vec<_> = t.rules().collect();
-    rules.sort_by_key(|&(q, s, _)| (q, s));
-    rules
+    a.num_rules() == b.num_rules() && a.rules().all(|(q, s, rhs)| b.rule(q, s) == Some(rhs))
 }
 
 fn selector_eq(a: &Selector, b: &Selector) -> bool {
@@ -1135,6 +1121,34 @@ mod tests {
         .unwrap();
         assert_ne!(fingerprint_dtd(&d), fingerprint_dtd(&d2));
         assert_eq!(fingerprint_dtd(&d), fingerprint_dtd(&d.clone()));
+    }
+
+    #[test]
+    fn mutating_a_dtd_clone_leaves_the_original_intact() {
+        let (mut a, d) = book_dtd();
+        let fp = fingerprint_dtd(&d);
+        let note = a.intern("note");
+        let mut edited = d.clone();
+        edited.set_rule(note, StringLang::Regex(Regex::Epsilon));
+        assert_eq!(fingerprint_dtd(&d), fp, "the original's fingerprint holds");
+        assert_ne!(fingerprint_dtd(&edited), fp);
+        assert!(d.rule(note).is_none());
+
+        // The same for a compiled schema the cache hands out.
+        let cache = SchemaCache::new();
+        let compiled = cache.compile_dtd(&d);
+        let compiled_fp = fingerprint_dtd(&compiled);
+        let mut copy = (*compiled).clone();
+        copy.set_rule(a.sym("book"), StringLang::Regex(Regex::Epsilon));
+        assert_eq!(fingerprint_dtd(&compiled), compiled_fp);
+        assert!(
+            compiled.is_dfa_dtd(),
+            "the cached schema keeps its DFA rules"
+        );
+        assert!(
+            Arc::ptr_eq(&cache.compile_dtd(&d), &compiled),
+            "still the cache hit"
+        );
     }
 
     #[test]

@@ -649,6 +649,178 @@ fn delta_section_structured_errors() {
     }
 }
 
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// A hand-forged delta section against [`CHAIN`]'s `v0` (states `root`
+/// = 0, `q` = 1; symbols `r` = 0, `x` = 1, `y` = 2; rules `(0, 0)`,
+/// `(1, 1)`, `(1, 2)`), appended to that stream's schema and instance
+/// sections. `set` rules carry the rhs `q` (one state node). Returns the
+/// stream and, for each listed `(q, sym)` key in order (removed, then
+/// set), the stream offset just past it — where a check on that key
+/// reports.
+fn forge_delta(removed: &[(u32, u32)], set: &[(u32, u32)]) -> (Vec<u8>, Vec<usize>) {
+    let base = parse_instance(CHAIN).expect("parses");
+    let mut stream = binfmt::encode_stream([("v0", &base)]).expect("encodes");
+    let mut body = vec![1, b'd'];
+    let mut marks = Vec::new();
+    put_varint(&mut body, removed.len() as u64);
+    for &(q, sym) in removed {
+        put_varint(&mut body, u64::from(q));
+        put_varint(&mut body, u64::from(sym));
+        marks.push(body.len());
+    }
+    put_varint(&mut body, set.len() as u64);
+    for &(q, sym) in set {
+        put_varint(&mut body, u64::from(q));
+        put_varint(&mut body, u64::from(sym));
+        marks.push(body.len());
+        body.extend_from_slice(&[1, 1, 1]); // one node: state `q`
+    }
+    stream.push(2);
+    put_varint(&mut stream, body.len() as u64);
+    let body_start = stream.len();
+    stream.extend_from_slice(&body);
+    (stream, marks.iter().map(|m| body_start + m).collect())
+}
+
+/// Decodes a forged stream that must fail, returning `(offset, message)`.
+fn forged_error(removed: &[(u32, u32)], set: &[(u32, u32)]) -> (usize, String, Vec<usize>) {
+    let (stream, marks) = forge_delta(removed, set);
+    let err = binfmt::decode_stream(&stream).unwrap_err();
+    (err.offset, err.message, marks)
+}
+
+#[test]
+fn forged_delta_errors_pin_message_and_offset() {
+    let (at, msg, marks) = forged_error(&[(1, 1), (0, 0)], &[]);
+    assert_eq!(
+        msg,
+        "delta removed rules must be in strictly increasing order"
+    );
+    assert_eq!(at, marks[1], "reported past the out-of-order key");
+
+    let (at, msg, marks) = forged_error(&[], &[(1, 2), (1, 1)]);
+    assert_eq!(msg, "delta set rules must be in strictly increasing order");
+    assert_eq!(at, marks[1]);
+
+    let (at, msg, marks) = forged_error(&[(2, 0)], &[]);
+    assert_eq!(msg, "delta removed-rule state 2 out of range (bound 2)");
+    assert_eq!(at, marks[0], "range checks run after both ids are read");
+
+    let (at, msg, marks) = forged_error(&[(0, 3)], &[]);
+    assert_eq!(msg, "delta removed-rule symbol 3 out of range (bound 3)");
+    assert_eq!(at, marks[0]);
+
+    let (at, msg, marks) = forged_error(&[], &[(0, 0), (2, 1)]);
+    assert_eq!(msg, "delta set-rule state 2 out of range (bound 2)");
+    assert_eq!(at, marks[1]);
+
+    let (at, msg, marks) = forged_error(&[], &[(1, 3)]);
+    assert_eq!(msg, "delta set-rule symbol 3 out of range (bound 3)");
+    assert_eq!(at, marks[0]);
+
+    // (0, 1) sorts between two present keys; (1, 0) before all of state
+    // 1's; (0, 2) past the last key a cursor over state 0 would reach.
+    for (absent, k) in [(&[(0, 1)][..], 0), (&[(0, 0), (1, 0)], 1), (&[(0, 2)], 0)] {
+        let (at, msg, marks) = forged_error(absent, &[]);
+        let (q, sym) = absent[k];
+        assert_eq!(
+            msg,
+            format!("delta removes rule ({q}, symbol #{sym}) which the base does not have")
+        );
+        assert_eq!(at, marks[k]);
+    }
+}
+
+#[test]
+fn forged_delta_may_remove_and_set_the_same_key() {
+    // Removing `(q, x)` and setting it again leaves it present with the
+    // set rhs; every other base rule survives untouched.
+    let (stream, _) = forge_delta(&[(1, 1)], &[(1, 0), (1, 1)]);
+    let decoded = binfmt::decode_stream(&stream).expect("decodes");
+    let (base, succ) = (&decoded[0].1.transducer, &decoded[1].1.transducer);
+    let q = xmlta_transducer::Rhs::new(vec![xmlta_transducer::RhsNode::State(1)]);
+    let x = xmlta_base::Symbol(1);
+    assert_ne!(base.rule(1, x), Some(&q), "the probe rhs is new");
+    assert_eq!(succ.rule(1, x), Some(&q));
+    assert_eq!(succ.rule(1, xmlta_base::Symbol(0)), Some(&q), "added rule");
+    assert_eq!(succ.num_rules(), base.num_rules() + 1);
+    for (p, sym, rhs) in base.rules().filter(|&(p, sym, _)| (p, sym.0) != (1, 1)) {
+        assert_eq!(succ.rule(p, sym), Some(rhs), "({p}, {sym:?}) kept");
+    }
+}
+
+/// A seeded edit chain over one layered instance: every version keeps the
+/// transducer header (so each one after the first rides as a delta) and
+/// mixes rule sets, replacements, and removals; every fourth version is
+/// the fleet shape, which rewrites nearly every rule.
+fn random_edit_chain(seed: u64, len: usize) -> Vec<(String, Instance)> {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use xmlta_transducer::{Rhs, RhsNode, Transducer};
+    let source = xmlta_service::gen::layered_source(seed, 3, 3, 0).expect("prints");
+    let base = parse_instance(&source).expect("parses");
+    let t0 = &base.transducer;
+    let (states, sigma) = (t0.num_states() as u32, t0.alphabet_size() as u32);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    // Rhs pool: the base's own right-hand sides plus one-element leaves,
+    // all valid against the unchanged header.
+    let mut pool: Vec<Rhs> = t0.rules().map(|(_, _, rhs)| rhs.clone()).collect();
+    pool.extend((0..sigma).map(|a| Rhs::new(vec![RhsNode::Elem(xmlta_base::Symbol(a), vec![])])));
+    let mut versions = vec![("e0".to_string(), base.clone())];
+    for k in 1..len {
+        let prev = &versions.last().unwrap().1.transducer;
+        let mut rules: std::collections::BTreeMap<(u32, xmlta_base::Symbol), Rhs> = prev
+            .rules()
+            .map(|(q, a, rhs)| ((q, a), rhs.clone()))
+            .collect();
+        if k % 4 == 0 {
+            for rhs in rules.values_mut() {
+                if rng.gen_bool(0.95) {
+                    *rhs = pool[rng.gen_range(0..pool.len())].clone();
+                }
+            }
+        } else {
+            for _ in 0..rng.gen_range(1..4usize) {
+                if rng.gen_bool(0.3) && !rules.is_empty() {
+                    let nth = rng.gen_range(0..rules.len());
+                    let victim = *rules.keys().nth(nth).unwrap();
+                    rules.remove(&victim);
+                } else {
+                    let q = rng.gen_range(0..states);
+                    let a = xmlta_base::Symbol(rng.gen_range(0..sigma));
+                    rules.insert((q, a), pool[rng.gen_range(0..pool.len())].clone());
+                }
+            }
+        }
+        let transducer = Transducer::from_parts(
+            prev.state_names().to_vec(),
+            prev.initial_state(),
+            rules.into_iter().collect(),
+            prev.selectors().to_vec(),
+            prev.alphabet_size(),
+        )
+        .expect("header unchanged");
+        versions.push((
+            format!("e{k}"),
+            Instance {
+                transducer,
+                ..base.clone()
+            },
+        ));
+    }
+    versions
+}
+
 #[test]
 fn stream_batch_items_match_per_instance_batches() {
     // The same fleet via the delta stream and as individual prepared
@@ -697,6 +869,35 @@ proptest! {
         if let Err(e) = binfmt::decode_stream(&stream[..cut]) {
             prop_assert!(e.offset <= cut);
         }
+    }
+
+    /// Random edit chains decode, version by version, to their sources:
+    /// structurally equal, in the rule iteration order a full `.xtb`
+    /// round trip yields, and re-encoding to the same bytes.
+    #[test]
+    fn random_edit_chains_decode_through_deltas(seed in 0u64..5_000) {
+        let versions = random_edit_chain(seed, 12);
+        let stream = binfmt::encode_stream(versions.iter().map(|(n, i)| (n.as_str(), i)))
+            .expect("encodes");
+        let kinds: Vec<u8> = sections(&stream).iter().map(|(k, _)| *k).collect();
+        prop_assert_eq!(&kinds[..2], &[0, 1][..]);
+        prop_assert!(kinds[2..].iter().all(|&k| k == 2), "every edit is a delta");
+        let decoded = binfmt::decode_stream(&stream).expect("decodes");
+        prop_assert_eq!(decoded.len(), versions.len());
+        for ((want_name, want), (got_name, got)) in versions.iter().zip(&decoded) {
+            prop_assert_eq!(want_name, got_name);
+            prop_assert!(instance_eq(want, got), "{} differs", want_name);
+            let bytes = encode_instance(got).expect("encodes");
+            let full = decode_instance(&bytes).expect("decodes");
+            let order = |i: &Instance| -> Vec<(u32, u32)> {
+                i.transducer.rules().map(|(q, a, _)| (q, a.0)).collect()
+            };
+            prop_assert_eq!(order(got), order(&full));
+            prop_assert_eq!(bytes, encode_instance(want).expect("encodes"));
+        }
+        let reencoded = binfmt::encode_stream(decoded.iter().map(|(n, i)| (n.as_str(), i)))
+            .expect("encodes");
+        prop_assert_eq!(stream, reencoded);
     }
 
     /// Every proper prefix of a random instance's encoding is an error,

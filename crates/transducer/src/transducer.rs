@@ -59,6 +59,11 @@ impl Transducer {
         self.rules.get(&(q, a))
     }
 
+    /// Number of rules.
+    pub fn num_rules(&self) -> usize {
+        self.rules.len()
+    }
+
     /// Iterates over all rules.
     pub fn rules(&self) -> impl Iterator<Item = (StateId, Symbol, &Rhs)> {
         self.rules.iter().map(|(&(q, a), rhs)| (q, a, rhs))
