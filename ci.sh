@@ -12,6 +12,13 @@ cd "$(dirname "$0")"
 echo "== cargo build --release"
 cargo build --release
 
+echo "== perfbench compiles against the workspace crates"
+# The benchmark package lives outside the workspace, so `cargo build`
+# above does not see it; a change to an API it uses must fail here, not
+# in the benchmark run. Same target dir as perfbench/run.py.
+CARGO_TARGET_DIR=.bench_build cargo check --offline --locked -q \
+    --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q --no-fail-fast"
 # Run every test binary even after one fails, so a red suite cannot hide
 # the state of the suites after it; cargo still exits nonzero on any

@@ -44,6 +44,7 @@ use xmlta_automata::minimize::minimize;
 use xmlta_automata::ops::determinize;
 use xmlta_bench::report;
 use xmlta_hardness::workloads::{self, Workload};
+use xmlta_server::Client;
 use xmlta_service::batch::{run_batch, BatchItem};
 use xmlta_service::{gen, SchemaCache};
 
@@ -730,6 +731,41 @@ fn main() -> ExitCode {
     }
 }
 
+/// Connects to a daemon socket, waiting up to 2.5 s for it to bind.
+fn connect(path: &Path) -> Client {
+    for _ in 0..500 {
+        if let Ok(client) = Client::connect(path) {
+            return client;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    panic!("daemon never bound {}", path.display());
+}
+
+/// Streams `frames` over `client` with a bounded pipelining window
+/// (unbounded pipelining deadlocks once the response direction's socket
+/// buffer fills and the server blocks on a write), asserting every
+/// response is `ok`, and returns the transcript.
+fn stream(client: &mut Client, frames: &[String]) -> Vec<String> {
+    const WINDOW: usize = 32;
+    let mut responses = Vec::with_capacity(frames.len());
+    let recv = |client: &mut Client| {
+        let line = client.recv().expect("recv").expect("response");
+        assert!(line.contains("\"ok\":true"), "request failed: {line}");
+        line
+    };
+    for (i, frame) in frames.iter().enumerate() {
+        client.send(frame).expect("send");
+        if i + 1 > WINDOW {
+            responses.push(recv(client));
+        }
+    }
+    while responses.len() < frames.len() {
+        responses.push(recv(client));
+    }
+    responses
+}
+
 /// Measures the `service/{oneshot-loop,server-cold,server-warm,
 /// server-pipelined}` series on a shared-schema workload, checking on the
 /// way that warm responses are byte-identical between a 1-connection and a
@@ -744,44 +780,11 @@ fn server_series(
     noise_floor_ms: f64,
 ) -> (Vec<Point>, Vec<Point>, Vec<Point>, Vec<Point>) {
     use xmlta_server::proto;
-    use xmlta_server::{serve_unix, Client, ServerConfig, Shared};
+    use xmlta_server::{serve_unix, ServerConfig, Shared};
     use xmlta_service::{parse_instance, typecheck_cached};
 
     let socket = std::env::temp_dir().join(format!("xmltad-bench-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-
-    let connect = |path: &std::path::Path| -> Client {
-        for _ in 0..500 {
-            if let Ok(client) = Client::connect(path) {
-                return client;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        panic!("daemon never bound {}", path.display());
-    };
-    /// Streams `frames` over `client` with a bounded pipelining window
-    /// (unbounded pipelining deadlocks once the response direction's
-    /// socket buffer fills and the server blocks on a write), asserting
-    /// every response is `ok`, and returns the transcript.
-    fn stream(client: &mut Client, frames: &[String]) -> Vec<String> {
-        const WINDOW: usize = 32;
-        let mut responses = Vec::with_capacity(frames.len());
-        let recv = |client: &mut Client| {
-            let line = client.recv().expect("recv").expect("response");
-            assert!(line.contains("\"ok\":true"), "request failed: {line}");
-            line
-        };
-        for (i, frame) in frames.iter().enumerate() {
-            client.send(frame).expect("send");
-            if i + 1 > WINDOW {
-                responses.push(recv(client));
-            }
-        }
-        while responses.len() < frames.len() {
-            responses.push(recv(client));
-        }
-        responses
-    }
 
     let mut oneshot = Vec::new();
     let mut cold = Vec::new();
@@ -1023,7 +1026,7 @@ fn server_cold_store_series(
 ) -> (Vec<Point>, Vec<Point>, Vec<Point>) {
     use std::sync::Arc;
     use xmlta_server::proto;
-    use xmlta_server::{serve_unix, Client, ServerConfig, Shared};
+    use xmlta_server::{serve_unix, ServerConfig, Shared};
     use xmlta_service::cache::{CacheStats, DEFAULT_MEMO_CAPACITY};
     use xmlta_service::{parse_instance, warm_instance, ArtifactBackend};
     use xmlta_store::Store;
@@ -1031,35 +1034,6 @@ fn server_cold_store_series(
     let socket =
         std::env::temp_dir().join(format!("xmltad-bench-store-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    let connect = |path: &std::path::Path| -> Client {
-        for _ in 0..500 {
-            if let Ok(client) = Client::connect(path) {
-                return client;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        panic!("daemon never bound {}", path.display());
-    };
-    /// Windowed pipelining as in [`server_series`]: every response `ok`.
-    fn stream(client: &mut Client, frames: &[String]) -> Vec<String> {
-        const WINDOW: usize = 32;
-        let mut responses = Vec::with_capacity(frames.len());
-        let recv = |client: &mut Client| {
-            let line = client.recv().expect("recv").expect("response");
-            assert!(line.contains("\"ok\":true"), "request failed: {line}");
-            line
-        };
-        for (i, frame) in frames.iter().enumerate() {
-            client.send(frame).expect("send");
-            if i + 1 > WINDOW {
-                responses.push(recv(client));
-            }
-        }
-        while responses.len() < frames.len() {
-            responses.push(recv(client));
-        }
-        responses
-    }
 
     // Populate the shared store dir once, through the same primitive
     // `xmlta store prewarm` uses (compile ahead of deployment).
@@ -1241,7 +1215,7 @@ fn router_fleet_series(
     reps: usize,
 ) -> Option<Vec<Point>> {
     use xmlta_server::proto;
-    use xmlta_server::{Client, Router, RouterBound, RouterConfig};
+    use xmlta_server::{Router, RouterBound, RouterConfig};
 
     let xmltad = std::env::current_exe()
         .ok()
@@ -1262,35 +1236,6 @@ fn router_fleet_series(
     let _ = std::fs::remove_dir_all(&store_dir);
     let _ = std::fs::remove_dir_all(&runtime_dir);
 
-    let connect = |path: &std::path::Path| -> Client {
-        for _ in 0..500 {
-            if let Ok(client) = Client::connect(path) {
-                return client;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        panic!("daemon never bound {}", path.display());
-    };
-    /// Windowed pipelining as in [`server_series`]: every response `ok`.
-    fn stream(client: &mut Client, frames: &[String]) -> Vec<String> {
-        const WINDOW: usize = 32;
-        let mut responses = Vec::with_capacity(frames.len());
-        let recv = |client: &mut Client| {
-            let line = client.recv().expect("recv").expect("response");
-            assert!(line.contains("\"ok\":true"), "request failed: {line}");
-            line
-        };
-        for (i, frame) in frames.iter().enumerate() {
-            client.send(frame).expect("send");
-            if i + 1 > WINDOW {
-                responses.push(recv(client));
-            }
-        }
-        while responses.len() < frames.len() {
-            responses.push(recv(client));
-        }
-        responses
-    }
     /// Registers every source on `client`, heats the handle path with
     /// one unmeasured stream, then times `reps` handle-only streams.
     /// Returns the samples and the last transcript.

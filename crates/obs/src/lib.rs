@@ -4,13 +4,15 @@
 //!
 //! - **Metrics primitives**: [`Counter`] (a relaxed atomic) and
 //!   [`Histogram`] (64 log2 buckets with lock-free record and
-//!   p50/p90/p99/max readout). These are the building blocks the
-//!   server's `ServerCounters` and the cache's mirror counters wrap.
-//! - **A process-wide [`Registry`]**: named counters and histograms
-//!   with get-or-create lookup ([`counter`]/[`histogram`] on the
-//!   [`global`] registry). Handles are `Arc`s, so the record path after
-//!   lookup is lock-free; readout renders a deterministic
-//!   (name-sorted) JSON object.
+//!   p50/p90/p99/max readout). Counters are typed fields owned by the
+//!   component that owns the event (the server's `ServerCounters`, the
+//!   router's `RouterCounters`); each event is counted once, where its
+//!   owner's readout (the `stats` op) reads it. The schema cache keeps
+//!   its own `CacheStats` under its lock.
+//! - **A process-wide [`Registry`] of histograms**: get-or-create
+//!   lookup by name ([`histogram`] on the [`global`] registry). Handles
+//!   are `Arc`s, so the record path after lookup is lock-free; readout
+//!   renders a deterministic (name-sorted) JSON object (`stats.hist`).
 //! - **Trace spans**: [`span`] opens a named span tied to the current
 //!   request context ([`set_ctx`] / [`adopt_ctx`]); closing it emits a
 //!   balanced enter/exit pair of JSONL trace events to the process
@@ -48,15 +50,11 @@ use std::time::Instant;
 // ---------------------------------------------------------------------
 // Counters.
 
-/// A named metric counter: a relaxed atomic u64.
+/// A metric counter: a relaxed atomic u64.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds `n` (relaxed; counters are monotonic tallies, not fences).
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Relaxed);
@@ -182,26 +180,17 @@ impl HistSnapshot {
 // ---------------------------------------------------------------------
 // The registry.
 
-/// A named-metric registry: get-or-create lookup returns shared handles
-/// so hot paths pay the map lookup once and record lock-free after.
+/// A named-histogram registry: get-or-create lookup returns shared
+/// handles so hot paths pay the map lookup once and record lock-free
+/// after.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
 impl Registry {
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().expect("registry lock").get(name) {
-            return Arc::clone(c);
-        }
-        let mut map = self.counters.write().expect("registry lock");
-        Arc::clone(map.entry(name.to_string()).or_default())
     }
 
     /// The histogram named `name`, created on first use.
@@ -211,21 +200,6 @@ impl Registry {
         }
         let mut map = self.histograms.write().expect("registry lock");
         Arc::clone(map.entry(name.to_string()).or_default())
-    }
-
-    /// All counters as a name-sorted JSON object (`{"a":1,"b":2}`).
-    pub fn counters_json(&self) -> String {
-        let map = self.counters.read().expect("registry lock");
-        let mut out = String::from("{");
-        for (i, (name, c)) in map.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            use std::fmt::Write as _;
-            let _ = write!(out, "\"{name}\":{}", c.get());
-        }
-        out.push('}');
-        out
     }
 
     /// All histograms as a name-sorted JSON object of snapshot objects.
@@ -249,11 +223,6 @@ impl Registry {
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Shorthand: a counter in the [`global`] registry.
-pub fn counter(name: &str) -> Arc<Counter> {
-    global().counter(name)
 }
 
 /// Shorthand: a histogram in the [`global`] registry.
@@ -392,30 +361,25 @@ impl Tracer {
 /// the span closes (drop or [`Span::finish`]) — adjacent in the stream,
 /// balanced by construction, with the enter carrying the true start
 /// timestamp. The duration is also recorded into the global
-/// `span.<name>_us` histogram.
-pub struct Span {
+/// `span.<name>_us` histogram. A span opened while tracing is disabled
+/// holds nothing and records nothing.
+pub struct Span(Option<LiveSpan>);
+
+/// What an enabled span records at close.
+struct LiveSpan {
     name: &'static str,
     conn: u64,
     id: String,
     depth: u32,
     start_us: u64,
     start: Instant,
-    live: bool,
 }
 
 /// Opens a span named `name` under the current thread's context. When
 /// tracing is disabled this is a no-op costing one atomic load.
 pub fn span(name: &'static str) -> Span {
     if !enabled() {
-        return Span {
-            name,
-            conn: 0,
-            id: String::new(),
-            depth: 0,
-            start_us: 0,
-            start: Instant::now(),
-            live: false,
-        };
+        return Span(None);
     }
     let (conn, id, depth) = CTX.with(|c| {
         let mut c = c.borrow_mut();
@@ -423,48 +387,42 @@ pub fn span(name: &'static str) -> Span {
         c.depth += 1;
         (c.conn, c.id.clone(), depth)
     });
-    Span {
+    Span(Some(LiveSpan {
         name,
         conn,
         id,
         depth,
         start_us: tracer().now_us(),
         start: Instant::now(),
-        live: true,
-    }
+    }))
 }
 
 impl Span {
     /// Closes the span now (equivalent to dropping it).
     pub fn finish(self) {}
-
-    fn close(&mut self) {
-        if !self.live {
-            return;
-        }
-        self.live = false;
-        CTX.with(|c| {
-            let mut c = c.borrow_mut();
-            c.depth = c.depth.saturating_sub(1);
-        });
-        let dur_us = self.start.elapsed().as_micros() as u64;
-        let t = tracer();
-        let head = format!(
-            "{{\"ts_us\":{},\"conn\":{},\"id\":{},\"span\":\"{}\",",
-            self.start_us, self.conn, self.id, self.name
-        );
-        t.emit(format!("{head}\"ev\":\"enter\",\"depth\":{}}}", self.depth));
-        t.emit(format!(
-            "{head}\"ev\":\"exit\",\"depth\":{},\"dur_us\":{dur_us}}}",
-            self.depth
-        ));
-        histogram(&format!("span.{}_us", self.name)).record(dur_us);
-    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.close();
+        let Some(s) = self.0.take() else {
+            return;
+        };
+        CTX.with(|c| {
+            let mut c = c.borrow_mut();
+            c.depth = c.depth.saturating_sub(1);
+        });
+        let dur_us = s.start.elapsed().as_micros() as u64;
+        let t = tracer();
+        let head = format!(
+            "{{\"ts_us\":{},\"conn\":{},\"id\":{},\"span\":\"{}\",",
+            s.start_us, s.conn, s.id, s.name
+        );
+        t.emit(format!("{head}\"ev\":\"enter\",\"depth\":{}}}", s.depth));
+        t.emit(format!(
+            "{head}\"ev\":\"exit\",\"depth\":{},\"dur_us\":{dur_us}}}",
+            s.depth
+        ));
+        histogram(&format!("span.{}_us", s.name)).record(dur_us);
     }
 }
 
@@ -522,26 +480,23 @@ mod tests {
     #[test]
     fn registry_get_or_create_returns_the_same_handle() {
         let r = Registry::new();
-        let a = r.counter("x");
-        let b = r.counter("x");
-        a.bump();
-        b.add(2);
-        assert_eq!(r.counter("x").get(), 3);
+        let a = r.histogram("h");
+        let b = r.histogram("h");
+        a.record(7);
+        b.record(9);
+        assert_eq!(r.histogram("h").snapshot().count, 2);
         assert!(Arc::ptr_eq(&a, &b));
-        let h = r.histogram("h");
-        h.record(7);
-        assert_eq!(r.histogram("h").snapshot().count, 1);
     }
 
     #[test]
     fn registry_json_is_name_sorted() {
         let r = Registry::new();
-        r.counter("zeta").add(2);
-        r.counter("alpha").add(1);
-        assert_eq!(r.counters_json(), "{\"alpha\":1,\"zeta\":2}");
-        r.histogram("m").record(3);
+        r.histogram("zeta").record(2);
+        r.histogram("alpha").record(1);
         let json = r.histograms_json();
-        assert!(json.starts_with("{\"m\":{\"count\":1,"), "{json}");
+        assert!(json.starts_with("{\"alpha\":{\"count\":1,"), "{json}");
+        let zeta = json.find("\"zeta\":").expect("zeta rendered");
+        assert!(json.find("\"alpha\":").unwrap() < zeta, "{json}");
     }
 
     #[test]

@@ -98,12 +98,11 @@ USAGE:
         verify            re-decode and re-fingerprint every entry;
                           prints corrupt/misfiled entries (these are
                           exactly the entries a daemon would silently
-                          recompile) and the store hit/miss/write/corrupt
-                          counters; exit 1 when any are found
+                          recompile); exit 1 when any are found
         gc --max-bytes N  evict least-recently-used entries until the
                           artifacts kept hold at most N bytes
         ls                list entries (kind/key-sigma and sizes),
-                          flagging corrupt ones, plus the store counters
+                          flagging corrupt ones
 
   xmlta serve (--socket PATH | --tcp HOST:PORT | --stdio)
               [--max-frame BYTES] [--registry-cap N] [--memo-cap N]
@@ -885,22 +884,11 @@ fn store_verify(store: &xmlta_store::Store) -> Result<ExitCode, String> {
     for (path, why) in &report.corrupt {
         println!("corrupt: {}: {why}", path.display());
     }
-    print_store_counters(store);
     Ok(if report.corrupt.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
     })
-}
-
-/// Prints the handle's `store_*` health counters (the same tallies the
-/// daemon surfaces through the `stats` op).
-fn print_store_counters(store: &xmlta_store::Store) {
-    let c = store.counters();
-    println!(
-        "store counters: {} hit(s) / {} miss(es) / {} write(s) / {} corrupt",
-        c.hits, c.misses, c.writes, c.corrupt
-    );
 }
 
 /// `store gc --max-bytes N`: evict least-recently-used entries down to
@@ -916,10 +904,9 @@ fn store_gc(store: &xmlta_store::Store, max_bytes: Option<u64>) -> Result<ExitCo
 }
 
 /// `store ls`: list entries, sorted by kind/key/sigma for stable output.
-/// Each entry is verified as it is listed (a corrupt one is annotated),
-/// with the handle's health counters before the closing tally — the
-/// tally stays the last line, so `ls | grep` pipelines that close after
-/// matching it never cut a write short.
+/// Each entry is verified as it is listed (a corrupt one is annotated);
+/// the closing tally is the last line, so `ls | grep` pipelines that
+/// close after matching it never cut a write short.
 fn store_ls(store: &xmlta_store::Store) -> Result<ExitCode, String> {
     let mut entries = store.entries().map_err(|e| e.to_string())?;
     entries.sort_by_key(|e| (e.kind as u8, e.key, e.sigma));
@@ -936,7 +923,6 @@ fn store_ls(store: &xmlta_store::Store) -> Result<ExitCode, String> {
             if corrupt { "  [corrupt]" } else { "" }
         );
     }
-    print_store_counters(store);
     println!("{} entry(ies), {total} bytes", entries.len());
     Ok(ExitCode::SUCCESS)
 }

@@ -467,7 +467,7 @@ where
             // Shed: one structured frame naming the cap and a retry
             // hint, then close. Never block the accept loop on a slow
             // peer — the frame fits any socket buffer.
-            ServerCounters::bump(&counters.overload_sheds);
+            counters.overload_sheds.bump();
             let frame = crate::proto::overloaded_frame(config.max_conns, config.retry_after_ms);
             let _ = stream.write_all(frame.as_bytes());
             let _ = stream.write_all(b"\n");
@@ -475,7 +475,7 @@ where
             stream.shutdown_both();
             continue;
         }
-        ServerCounters::bump(&counters.conns_accepted);
+        counters.conns_accepted.bump();
         let id = ctx.next_id.fetch_add(1, Ordering::SeqCst);
         if let Ok(clone) = stream.try_clone() {
             lock(&ctx.conns).insert(id, clone);

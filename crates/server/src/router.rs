@@ -53,6 +53,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use xmlta_obs::Counter;
 use xmlta_service::artifact::fnv1a64;
 use xmlta_service::{parse_json, Json};
 
@@ -322,45 +323,15 @@ impl Default for RouterConfig {
     }
 }
 
-/// Fleet-level counters surfaced through the router's `stats` reply
-/// (and mirrored into the global observability registry).
+/// Fleet-level counters surfaced through the router's `stats` reply.
 #[derive(Debug, Default)]
 pub struct RouterCounters {
-    shard_respawns: AtomicU64,
-    breaker_opens: AtomicU64,
-    failovers: AtomicU64,
-}
-
-impl RouterCounters {
     /// Crashed shards respawned by the supervisor.
-    pub fn shard_respawns(&self) -> u64 {
-        self.shard_respawns.load(Ordering::Relaxed)
-    }
-
+    pub shard_respawns: Counter,
     /// Times any shard's breaker (re)opened.
-    pub fn breaker_opens(&self) -> u64 {
-        self.breaker_opens.load(Ordering::Relaxed)
-    }
-
+    pub breaker_opens: Counter,
     /// Requests served by a non-home shard after failover.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    fn bump_respawns(&self) {
-        self.shard_respawns.fetch_add(1, Ordering::Relaxed);
-        xmlta_obs::counter("router_shard_respawns").bump();
-    }
-
-    fn bump_breaker_opens(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-        xmlta_obs::counter("router_breaker_opens").bump();
-    }
-
-    fn bump_failovers(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-        xmlta_obs::counter("router_failovers").bump();
-    }
+    pub failovers: Counter,
 }
 
 /// One shard's process slot.
@@ -631,7 +602,7 @@ impl Router {
                     }
                 };
                 if needs_respawn && !self.is_shutdown() {
-                    self.counters.bump_respawns();
+                    self.counters.shard_respawns.bump();
                     if !self.cfg.quiet {
                         eprintln!("xmlta router: shard {shard} exited; respawning");
                     }
@@ -677,7 +648,7 @@ impl Router {
 
     fn note_failure(&self, shard: usize) {
         if lock(&self.breakers[shard]).note_failure(Instant::now()) {
-            self.counters.bump_breaker_opens();
+            self.counters.breaker_opens.bump();
         }
     }
 
@@ -847,7 +818,7 @@ impl Relay {
                 Ok(frames) => {
                     self.router.note_ok(shard);
                     if shard != home {
-                        self.router.counters.bump_failovers();
+                        self.router.counters.failovers.bump();
                     }
                     return Ok(frames);
                 }
@@ -942,10 +913,13 @@ impl Relay {
         sums.insert("shards_reachable".into(), reachable);
         sums.insert(
             "shard_respawns".into(),
-            self.router.counters.shard_respawns(),
+            self.router.counters.shard_respawns.get(),
         );
-        sums.insert("breaker_opens".into(), self.router.counters.breaker_opens());
-        sums.insert("failovers".into(), self.router.counters.failovers());
+        sums.insert(
+            "breaker_opens".into(),
+            self.router.counters.breaker_opens.get(),
+        );
+        sums.insert("failovers".into(), self.router.counters.failovers.get());
         let mut out = String::from("{\"id\":");
         id.render(&mut out);
         out.push_str(",\"ok\":true,\"stats\":{");

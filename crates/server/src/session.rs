@@ -44,7 +44,7 @@
 use crate::proto::{
     self, code, BatchItemReq, Edit, Op, Raw, Reject, Request, ResponseBuilder, Target,
 };
-use crate::state::{apply_edit, Prepared, ServerCounters, Shared};
+use crate::state::{apply_edit, Prepared, Shared};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -54,8 +54,8 @@ use typecheck_core::Instance;
 use xmlta_base::FxHashMap;
 use xmlta_service::batch::{result_json_line, run_batch, stream_batch_items, BatchItem};
 use xmlta_service::{
-    check_instance, fingerprint_instance, parse_instance, print_instance, ComponentFingerprints,
-    ItemStatus, Json, RetainedEngine,
+    check_instance, parse_instance, print_instance, ComponentFingerprints, ItemStatus, Json,
+    RetainedEngine,
 };
 
 /// What the connection loop should do after a frame.
@@ -404,18 +404,18 @@ impl Session {
                     self.shared.registered(),
                     self.shared.evictions(),
                     self.handles.len(),
-                    ServerCounters::read(&c.conns_accepted),
-                    ServerCounters::read(&c.overload_sheds),
-                    ServerCounters::read(&c.deadline_sheds),
-                    ServerCounters::read(&c.read_timeouts),
+                    c.conns_accepted.get(),
+                    c.overload_sheds.get(),
+                    c.deadline_sheds.get(),
+                    c.read_timeouts.get(),
                     self.shared.uptime_ms(),
                     env!("CARGO_PKG_VERSION"),
                     self.version,
                     proto::PROTOCOL_VERSION,
                     proto::MAX_PROTOCOL_VERSION,
                     xmlta_obs::global().histograms_json(),
-                    ServerCounters::read(&c.update_reqs),
-                    ServerCounters::read(&c.components_reused),
+                    c.update_reqs.get(),
+                    c.components_reused.get(),
                 );
                 ResponseBuilder::new(&id, true)
                     .raw_field("stats", &stats)
@@ -537,7 +537,7 @@ impl Session {
     fn update(&mut self, id: &Json, handle: &str, edit: &Edit) -> String {
         let _span = xmlta_obs::span("update");
         let counters = self.shared.counters();
-        ServerCounters::bump(&counters.update_reqs);
+        counters.update_reqs.bump();
         let Some(old) = self.handles.get(handle).map(Arc::clone) else {
             return proto::error_frame(&Reject {
                 id: id.clone(),
@@ -627,8 +627,7 @@ fn update_status(
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(engine);
                 if type_checks {
-                    let fp = fingerprint_instance(&new.instance);
-                    cache.memo_insert(fp, &new.instance, &ItemStatus::TypeChecks);
+                    cache.memo_insert(fp_new.combined(), &new.instance, &ItemStatus::TypeChecks);
                     return ItemStatus::TypeChecks;
                 }
                 return check_instance(&new.instance, Some(cache));
@@ -668,7 +667,7 @@ fn run_job(shared: &Shared, job: Job) -> String {
     let _request_span = xmlta_obs::span("request");
     if let Some((expires, ms)) = job.deadline {
         if Instant::now() >= expires {
-            ServerCounters::bump(&shared.counters().deadline_sheds);
+            shared.counters().deadline_sheds.bump();
             return proto::error_frame(&proto::deadline_reject(job.id, ms));
         }
     }
@@ -950,7 +949,7 @@ pub fn serve_stream<R: BufRead + Send, W: Write>(
         InlineStop::Pool => serve_pooled(session, &mut reader, &mut writer, max_frame)?,
     };
     if end == SessionEnd::TimedOut {
-        ServerCounters::bump(&session.shared.counters().read_timeouts);
+        session.shared.counters().read_timeouts.bump();
     }
     Ok(end)
 }

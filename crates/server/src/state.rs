@@ -132,18 +132,6 @@ pub struct ServerCounters {
     pub components_reused: Counter,
 }
 
-impl ServerCounters {
-    /// Bumps a counter (relaxed; tallies only).
-    pub fn bump(counter: &Counter) {
-        counter.bump();
-    }
-
-    /// Reads a counter (relaxed; tallies only).
-    pub fn read(counter: &Counter) -> u64 {
-        counter.get()
-    }
-}
-
 /// The state shared by all connections of one server process.
 pub struct Shared {
     cache: SchemaCache,
@@ -379,15 +367,6 @@ fn fingerprint_bytes(bytes: &[u8], salt: u8) -> u64 {
     h.finish()
 }
 
-/// A second, differently-salted content hash (the second handle half).
-fn fingerprint_source_salted(source: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u8(0x5A);
-    h.write(source.as_bytes());
-    h.write_u8(0x5A);
-    h.finish()
-}
-
 /// The handle a source registers under: `i` + two independently-salted
 /// 64-bit content hashes. Purely content-derived — never influenced by
 /// registration order or other connections — so register responses stay a
@@ -398,7 +377,7 @@ pub fn handle_for_source(source: &str) -> String {
     format!(
         "i{:016x}{:016x}",
         fingerprint_source(source),
-        fingerprint_source_salted(source)
+        fingerprint_bytes(source.as_bytes(), 0x5A)
     )
 }
 

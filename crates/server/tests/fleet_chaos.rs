@@ -280,7 +280,7 @@ fn fleet_round(seed: u64) {
     // The supervisor did its job, and the replacement cold-started warm
     // from the shared store.
     assert!(
-        router.counters.shard_respawns() >= 1,
+        router.counters.shard_respawns.get() >= 1,
         "seed {seed}: a shard died but nothing respawned"
     );
     let respawned = killed[0];

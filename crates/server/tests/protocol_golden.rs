@@ -482,6 +482,62 @@ fn golden_stats_v1_surface_unchanged() {
 }
 
 #[test]
+fn golden_stats_v2_key_order() {
+    // Every key of a v2 `stats` reply, in order — the v1 prefix, the
+    // appended observability fields, and the update counters after
+    // `hist` — so a counter rewrite cannot silently reorder the tail.
+    let responses = v2_by_id("{\"id\": 1, \"op\": \"stats\"}\n");
+    let parsed = xmlta_service::parse_json(&responses["1"]).expect("stats reply parses");
+    let Some(xmlta_service::json::Json::Obj(fields)) = parsed.get("stats") else {
+        panic!("stats is not an object: {}", responses["1"]);
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "schema_hits",
+            "schema_misses",
+            "rule_hits",
+            "rule_misses",
+            "bout_hits",
+            "bout_misses",
+            "memo_hits",
+            "memo_misses",
+            "memo_evictions",
+            "store_hits",
+            "store_misses",
+            "store_writes",
+            "store_corrupt",
+            "registered",
+            "evictions",
+            "session_handles",
+            "conns_accepted",
+            "overload_sheds",
+            "deadline_sheds",
+            "read_timeouts",
+            "uptime_ms",
+            "version",
+            "protocol",
+            "protocol_min",
+            "protocol_max",
+            "hist",
+            "update_reqs",
+            "components_reused",
+        ]
+    );
+    assert!(
+        responses["1"].contains(r#","protocol":2,"protocol_min":1,"protocol_max":2,"hist":{"#),
+        "{}",
+        responses["1"]
+    );
+    assert!(
+        responses["1"].ends_with(r#"},"update_reqs":0,"components_reused":0}}"#),
+        "{}",
+        responses["1"]
+    );
+}
+
+#[test]
 fn golden_trace_op_gating() {
     // On a v1 connection the op does not exist — the pinned bytes.
     assert_eq!(

@@ -22,6 +22,12 @@
 //! regardless of which parse produced it. The cache is shared across the
 //! batch driver's workers behind a mutex; compilation runs outside the
 //! lock, so a racing miss can compile twice but never corrupts the cache.
+//!
+//! [`CacheStats`] is the cache's only tally: every schema, rule, `B_out`,
+//! memo, and persistent-store event is counted there once, under the
+//! cache lock, and read through [`SchemaCache::stats`] (the `stats` op,
+//! the `xmlta batch`/`prewarm` summaries). The store backend keeps no
+//! counters of its own.
 
 use crate::artifact::{self, Artifact, ArtifactKind};
 use crate::batch::ItemStatus;
@@ -114,35 +120,6 @@ struct Inner {
     stats: CacheStats,
 }
 
-/// Shared handles into the process-wide metrics registry mirroring the
-/// memo and store counters (the per-cache [`CacheStats`] snapshot stays
-/// authoritative for one cache; the registry aggregates across every
-/// cache in the process, which is what `stats v2` and offline tooling
-/// read). Handles are resolved once per cache so bumps are lock-free.
-struct MirrorCounters {
-    memo_hits: Arc<xmlta_obs::Counter>,
-    memo_misses: Arc<xmlta_obs::Counter>,
-    memo_evictions: Arc<xmlta_obs::Counter>,
-    store_hits: Arc<xmlta_obs::Counter>,
-    store_misses: Arc<xmlta_obs::Counter>,
-    store_writes: Arc<xmlta_obs::Counter>,
-    store_corrupt: Arc<xmlta_obs::Counter>,
-}
-
-impl MirrorCounters {
-    fn new() -> MirrorCounters {
-        MirrorCounters {
-            memo_hits: xmlta_obs::counter("memo.hits"),
-            memo_misses: xmlta_obs::counter("memo.misses"),
-            memo_evictions: xmlta_obs::counter("memo.evictions"),
-            store_hits: xmlta_obs::counter("store.hits"),
-            store_misses: xmlta_obs::counter("store.misses"),
-            store_writes: xmlta_obs::counter("store.writes"),
-            store_corrupt: xmlta_obs::counter("store.corrupt"),
-        }
-    }
-}
-
 /// A thread-safe compiled-schema cache. See the module docs.
 pub struct SchemaCache {
     inner: Mutex<Inner>,
@@ -150,8 +127,6 @@ pub struct SchemaCache {
     /// compile misses, written behind fresh compiles. All store I/O runs
     /// outside the cache mutex.
     store: Option<Arc<dyn ArtifactBackend>>,
-    /// Process-wide mirrors of the memo/store counters.
-    mirror: MirrorCounters,
 }
 
 impl Default for SchemaCache {
@@ -178,7 +153,6 @@ impl SchemaCache {
                 stats: CacheStats::default(),
             }),
             store: None,
-            mirror: MirrorCounters::new(),
         }
     }
 
@@ -222,18 +196,15 @@ impl SchemaCache {
         let _span = xmlta_obs::span("store");
         let Some(bytes) = store.load(kind, key, sigma) else {
             self.bump(|s| s.store_misses += 1);
-            self.mirror.store_misses.bump();
             return None;
         };
         match artifact::decode(&bytes).ok().and_then(adopt) {
             Some(product) => {
                 self.bump(|s| s.store_hits += 1);
-                self.mirror.store_hits.bump();
                 Some(product)
             }
             None => {
                 self.bump(|s| s.store_corrupt += 1);
-                self.mirror.store_corrupt.bump();
                 None
             }
         }
@@ -245,7 +216,6 @@ impl SchemaCache {
             let _span = xmlta_obs::span("store");
             if store.save(kind, key, sigma, bytes) {
                 self.bump(|s| s.store_writes += 1);
-                self.mirror.store_writes.bump();
             }
         }
     }
@@ -265,12 +235,10 @@ impl SchemaCache {
             Some((source, status)) if instance_eq(source, instance) => {
                 let status = status.clone();
                 inner.stats.memo_hits += 1;
-                self.mirror.memo_hits.bump();
                 Some(status)
             }
             _ => {
                 inner.stats.memo_misses += 1;
-                self.mirror.memo_misses.bump();
                 None
             }
         }
@@ -295,7 +263,6 @@ impl SchemaCache {
             .is_some()
         {
             inner.stats.memo_evictions += 1;
-            self.mirror.memo_evictions.bump();
         }
     }
 
