@@ -61,6 +61,46 @@ cmp "$smoke/b1.json" "$smoke/b4.json" \
     || { echo "batch JSON differs across thread counts"; exit 1; }
 xmlta report "$smoke/b1.json"
 
+echo "== DTD(RE+) smoke (one engine choice with the cache on and off)"
+# t_min passes and t_vast fails, so only the Section 5 engine prints the
+# canonical witness (Corollary 38); every path must choose that engine.
+cat > "$smoke/replus-fail.xti" <<'EOF'
+input dtd {
+  start book
+  book -> @replus chapter+
+  chapter -> @replus title author+
+}
+output dtd {
+  start book
+  book -> @replus chapter+
+  chapter -> @replus title author
+}
+transducer {
+  states q
+  initial q
+  (q, book) -> book(q)
+  (q, chapter) -> chapter(q)
+  (q, title) -> title
+  (q, author) -> author
+}
+EOF
+set +e
+xmlta typecheck "$smoke/replus-fail.xti" > "$smoke/replus-cached.txt"
+rc_cached=$?
+xmlta typecheck --no-cache "$smoke/replus-fail.xti" > "$smoke/replus-direct.txt"
+rc_direct=$?
+set -e
+[[ "$rc_cached" -eq 1 && "$rc_direct" -eq 1 ]] \
+    || { echo "RE+ instance: expected exit 1 twice, got $rc_cached/$rc_direct"; exit 1; }
+grep -q 'input: book(chapter(title author author) chapter(title author author))$' \
+    "$smoke/replus-direct.txt" || { echo "RE+ counterexample is not t_vast"; exit 1; }
+cmp "$smoke/replus-cached.txt" "$smoke/replus-direct.txt" \
+    || { echo "RE+ typecheck differs with the cache on and off"; exit 1; }
+xmlta batch --threads 1 --out "$smoke/replus-b1.json" "$smoke/replus-fail.xti"
+xmlta batch --no-cache --out "$smoke/replus-nocache.json" "$smoke/replus-fail.xti"
+cmp "$smoke/replus-b1.json" "$smoke/replus-nocache.json" \
+    || { echo "RE+ batch report differs with the cache on and off"; exit 1; }
+
 echo "== .xtb binary smoke (convert round-trip + binary typecheck)"
 quick="$(head -n1 "$smoke/files.txt")"
 xmlta convert "$quick" --out "$smoke/quick.xtb"
@@ -122,6 +162,14 @@ xmlta client --socket "$sock" typecheck "$fail_file"
 rc=$?
 set -e
 [[ "$rc" -eq 1 ]] || { echo "failing instance: expected exit 1, got $rc"; exit 1; }
+# The daemon takes the same engine choice as the one-shot CLI.
+set +e
+xmlta client --socket "$sock" typecheck "$smoke/replus-fail.xti" > "$smoke/replus-served.txt"
+rc=$?
+set -e
+[[ "$rc" -eq 1 ]] || { echo "served RE+ instance: expected exit 1, got $rc"; exit 1; }
+cmp "$smoke/replus-direct.txt" "$smoke/replus-served.txt" \
+    || { echo "served RE+ verdict differs from the one-shot one"; exit 1; }
 # Pipelined client (protocol 2, depth 4): interleaved register/typecheck
 # pairs under distinct ids, output identical to the sequential client's.
 xmlta client --socket "$sock" typecheck "$pass_file" "$d2" "$d3" > "$smoke/seq.txt" \

@@ -781,7 +781,7 @@ fn server_series(
 ) -> (Vec<Point>, Vec<Point>, Vec<Point>, Vec<Point>) {
     use xmlta_server::proto;
     use xmlta_server::{serve_unix, ServerConfig, Shared};
-    use xmlta_service::{parse_instance, typecheck_cached};
+    use xmlta_service::parse_instance;
 
     let socket = std::env::temp_dir().join(format!("xmltad-bench-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
@@ -798,7 +798,8 @@ fn server_series(
             for (_, source) in slice {
                 let cache = SchemaCache::new();
                 let instance = parse_instance(source).expect("generated instance parses");
-                let outcome = typecheck_cached(&cache, &instance).expect("engine runs");
+                let outcome =
+                    typecheck_core::typecheck_with(&instance, &cache).expect("engine runs");
                 assert!(outcome.type_checks());
             }
         });

@@ -18,7 +18,7 @@
 //!    `L(B_in ∩ B_out) = ∅`; a witness output tree is decoded back into an
 //!    input counterexample through `B_in`'s accepting run.
 
-use crate::{CounterExample, Outcome, TypecheckError};
+use crate::{CounterExample, Outcome, Products, TypecheckError};
 use xmlta_automata::Nfa;
 use xmlta_base::{FxHashMap, Symbol};
 use xmlta_schema::emptiness::{self, reachable_states};
@@ -91,17 +91,19 @@ pub fn bout_product(aout: &Nta, sigma: usize) -> Nta {
 }
 
 /// Typechecks `T ∈ T_del-relab` against NTA schemas; the output automaton
-/// must be bottom-up deterministic and complete (`DTAc`).
+/// must be bottom-up deterministic and complete (`DTAc`). `B_out` comes
+/// from `products`; the transducer class is validated first, so an
+/// unsupported transducer never pays for the product.
 pub fn typecheck_delrelab(
     ain: &Nta,
     aout: &Nta,
     t: &Transducer,
     alphabet_size: usize,
+    products: &impl Products,
 ) -> Result<Outcome, TypecheckError> {
-    let sigma = joint_sigma(ain, aout, alphabet_size);
     require_delrelab(t)?;
-    require_dtac(aout)?;
-    let bout = bout_product(aout, sigma);
+    let sigma = joint_sigma(ain, aout, alphabet_size);
+    let bout = products.delrelab_bout(aout, sigma)?;
     typecheck_delrelab_with_bout(ain, &bout, t, sigma)
 }
 
@@ -635,7 +637,8 @@ mod tests {
     fn check(din: &Dtd, dout: &Dtd, t: &Transducer, sigma: usize) -> Outcome {
         let ain = dtd_to_nta(din);
         let aout = dtd_to_dtac(dout);
-        let outcome = typecheck_delrelab(&ain, &aout, t, sigma).expect("engine runs");
+        let outcome =
+            typecheck_delrelab(&ain, &aout, t, sigma, &crate::Direct).expect("engine runs");
         if let Outcome::CounterExample(ce) = &outcome {
             assert!(
                 din.compile_to_dfas().accepts(&ce.input),
@@ -762,7 +765,7 @@ mod tests {
         let ain = dtd_to_nta(&din);
         let aout = dtd_to_dtac(&din);
         assert!(matches!(
-            typecheck_delrelab(&ain, &aout, &t, a.len()),
+            typecheck_delrelab(&ain, &aout, &t, a.len(), &crate::Direct),
             Err(TypecheckError::Unsupported(_))
         ));
     }

@@ -199,6 +199,22 @@ impl Lemma14Engine {
         })
     }
 
+    /// Builds the engine and runs one full check — fixpoint, reachability,
+    /// verdict — returning the engine with every fixpoint structure
+    /// retained, so an incremental re-check can continue from it.
+    pub fn check(
+        din: &Dtd,
+        dout: &Dtd,
+        t: &Transducer,
+        alphabet_size: usize,
+    ) -> Result<(Lemma14Engine, Outcome), TypecheckError> {
+        let mut engine = Lemma14Engine::new(din, dout, t, alphabet_size)?;
+        engine.run_fixpoint()?;
+        engine.compute_reachable();
+        let outcome = engine.outcome()?;
+        Ok((engine, outcome))
+    }
+
     fn intern_profile(&mut self, p: Box<[BehaviorId]>) -> ProfileId {
         if let Some(&id) = self.profile_ids.get(&p) {
             return id;
@@ -446,8 +462,9 @@ impl Lemma14Engine {
     }
 
     /// Derives the verdict from a completed fixpoint + reachability pass.
-    /// Factored out of [`typecheck_dtds`] so incremental re-checks share the
-    /// exact verdict logic (missing-root-rule special case included).
+    /// Factored out of [`Lemma14Engine::check`] so incremental re-checks
+    /// share the exact verdict logic (missing-root-rule special case
+    /// included).
     pub fn outcome(&mut self) -> Result<Outcome, TypecheckError> {
         // Special case: the initial state has no rule for the input root —
         // every valid input maps to ε, which is never a valid output tree.
@@ -1164,10 +1181,7 @@ pub fn typecheck_dtds(
     t: &Transducer,
     alphabet_size: usize,
 ) -> Result<Outcome, TypecheckError> {
-    let mut engine = Lemma14Engine::new(din, dout, t, alphabet_size)?;
-    engine.run_fixpoint()?;
-    engine.compute_reachable();
-    engine.outcome()
+    Lemma14Engine::check(din, dout, t, alphabet_size).map(|(_, outcome)| outcome)
 }
 
 #[cfg(test)]

@@ -291,8 +291,8 @@ pub fn adopt_ctx(parent: Ctx) {
 pub const TRACE_RING: usize = 4096;
 
 /// The process trace sink: a bounded ring of rendered events, plus an
-/// optional line-buffered file (each event is one `write_all`, so a
-/// killed daemon loses at most the event being written).
+/// optional line-buffered file (each span's enter/exit pair is one
+/// `write_all`, so a killed daemon loses at most the pair being written).
 pub struct Tracer {
     epoch: Instant,
     active: AtomicBool,
@@ -338,16 +338,18 @@ impl Tracer {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    fn emit(&self, line: String) {
+    /// Appends one span's enter and exit events, taking each sink's lock
+    /// once, so no other event can land between the two.
+    fn emit_pair(&self, enter: String, exit: String) {
         if let Some(f) = self.file.lock().expect("tracer lock").as_mut() {
-            let _ = f.write_all(line.as_bytes());
-            let _ = f.write_all(b"\n");
+            let _ = f.write_all(format!("{enter}\n{exit}\n").as_bytes());
         }
         let mut ring = self.ring.lock().expect("tracer lock");
-        if ring.len() == TRACE_RING {
+        while ring.len() + 2 > TRACE_RING {
             ring.pop_front();
         }
-        ring.push_back(line);
+        ring.push_back(enter);
+        ring.push_back(exit);
     }
 
     /// The most recent `n` events, oldest first.
@@ -417,11 +419,13 @@ impl Drop for Span {
             "{{\"ts_us\":{},\"conn\":{},\"id\":{},\"span\":\"{}\",",
             s.start_us, s.conn, s.id, s.name
         );
-        t.emit(format!("{head}\"ev\":\"enter\",\"depth\":{}}}", s.depth));
-        t.emit(format!(
-            "{head}\"ev\":\"exit\",\"depth\":{},\"dur_us\":{dur_us}}}",
-            s.depth
-        ));
+        t.emit_pair(
+            format!("{head}\"ev\":\"enter\",\"depth\":{}}}", s.depth),
+            format!(
+                "{head}\"ev\":\"exit\",\"depth\":{},\"dur_us\":{dur_us}}}",
+                s.depth
+            ),
+        );
         histogram(&format!("span.{}_us", s.name)).record(dur_us);
     }
 }
@@ -530,6 +534,44 @@ mod tests {
         assert!(histogram("span.outer_us").snapshot().count >= 1);
         // Depth unwound.
         assert_eq!(ctx().depth, 0);
+    }
+
+    #[test]
+    fn span_pairs_stay_adjacent_across_threads() {
+        enable();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let workers: Vec<_> = [11u64, 12]
+            .into_iter()
+            .map(|conn| {
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    set_ctx(conn, "1");
+                    start.wait();
+                    for _ in 0..1000 {
+                        drop(span("race"));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("span thread");
+        }
+        let events: Vec<String> = tracer()
+            .recent(TRACE_RING)
+            .into_iter()
+            .filter(|e| e.contains("\"conn\":11,") || e.contains("\"conn\":12,"))
+            .collect();
+        assert!(
+            events.len() >= 2 && events.len().is_multiple_of(2),
+            "{}",
+            events.len()
+        );
+        for pair in events.chunks(2) {
+            let head = |e: &str| e[..e.find("\"ev\"").expect("event kind")].to_string();
+            assert!(pair[0].contains("\"ev\":\"enter\""), "{pair:?}");
+            assert!(pair[1].contains("\"ev\":\"exit\""), "{pair:?}");
+            assert_eq!(head(&pair[0]), head(&pair[1]), "one span's pair");
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 use typecheck_core::{Instance, Schema};
 use xmlta_server::proto::{self, BatchItemReq, Target};
@@ -37,7 +38,8 @@ use xmlta_server::Client;
 use xmlta_service::batch::{run_batch, BatchItem};
 use xmlta_service::cache::SchemaCache;
 use xmlta_service::{
-    binfmt, gen, parse_instance, parse_json, print_instance, typecheck_cached, warm_instance, Json,
+    binfmt, check_instance, gen, parse_instance, parse_json, print_instance, warm_instance,
+    ItemStatus, Json,
 };
 
 const USAGE: &str = "\
@@ -389,9 +391,9 @@ fn load_instance(payload: &Payload) -> Result<Instance, String> {
 }
 
 /// Opens (creating if needed) the on-disk artifact store at `dir`.
-fn open_store(dir: &Path) -> Result<std::sync::Arc<xmlta_store::Store>, String> {
+fn open_store(dir: &Path) -> Result<Arc<xmlta_store::Store>, String> {
     xmlta_store::Store::open(dir)
-        .map(std::sync::Arc::new)
+        .map(Arc::new)
         .map_err(|e| format!("--store {}: {e}", dir.display()))
 }
 
@@ -420,35 +422,12 @@ fn cmd_typecheck(args: &[String]) -> Result<ExitCode, String> {
                 println!("{path}: {e}");
                 saw_error = true;
             }
-            Ok(instance) => {
-                let outcome = if opts.no_cache {
-                    typecheck_core::typecheck(&instance)
-                } else {
-                    typecheck_cached(&cache, &instance)
-                };
-                match outcome {
-                    Ok(o) if o.type_checks() => println!("{path}: typechecks"),
-                    Ok(o) => {
-                        let ce = o.counter_example().expect("non-typechecking outcome");
-                        println!(
-                            "{path}: counterexample input: {}",
-                            ce.input.display(&instance.alphabet)
-                        );
-                        match &ce.output {
-                            Some(t) => println!(
-                                "{path}: counterexample image: {}",
-                                t.display(&instance.alphabet)
-                            ),
-                            None => println!("{path}: counterexample image is not a tree"),
-                        }
-                        saw_counterexample = true;
-                    }
-                    Err(e) => {
-                        println!("{path}: error: {e}");
-                        saw_error = true;
-                    }
-                }
-            }
+            Ok(instance) => print_status(
+                path,
+                &check_instance(&Arc::new(instance), (!opts.no_cache).then_some(&cache)),
+                &mut saw_counterexample,
+                &mut saw_error,
+            ),
         }
     }
     Ok(exit_for(saw_counterexample, saw_error))
@@ -822,10 +801,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
 /// `store prewarm PATH...`: compile every schema product reachable from
 /// the given instances into the store. Idempotent — entries already
 /// present are adopted (a hit), not rewritten.
-fn store_prewarm(
-    store: std::sync::Arc<xmlta_store::Store>,
-    paths: &[String],
-) -> Result<ExitCode, String> {
+fn store_prewarm(store: Arc<xmlta_store::Store>, paths: &[String]) -> Result<ExitCode, String> {
     if paths.is_empty() {
         return Err("store prewarm needs at least one PATH".into());
     }
@@ -1333,7 +1309,33 @@ fn client_register(client: &mut Client, files: &[String]) -> Result<ExitCode, Cl
     Ok(ExitCode::SUCCESS)
 }
 
-/// Prints one typecheck response for `target`, updating the exit flags —
+/// Prints one verdict for `target`, updating the exit flags — the one
+/// rendering shared by `typecheck` and every `client` path, so local and
+/// served verdicts print the same bytes.
+fn print_status(
+    target: &str,
+    status: &ItemStatus,
+    saw_counterexample: &mut bool,
+    saw_error: &mut bool,
+) {
+    match status {
+        ItemStatus::TypeChecks => println!("{target}: typechecks"),
+        ItemStatus::CounterExample { input, output } => {
+            println!("{target}: counterexample input: {input}");
+            match output {
+                Some(o) => println!("{target}: counterexample image: {o}"),
+                None => println!("{target}: counterexample image is not a tree"),
+            }
+            *saw_counterexample = true;
+        }
+        ItemStatus::Error { message } => {
+            println!("{target}: error: {message}");
+            *saw_error = true;
+        }
+    }
+}
+
+/// Prints one typecheck response for `target` through [`print_status`] —
 /// shared by the sequential and pipelined client paths so their output is
 /// identical for the same responses.
 fn print_check_response(
@@ -1342,29 +1344,23 @@ fn print_check_response(
     saw_counterexample: &mut bool,
     saw_error: &mut bool,
 ) {
-    if let Some(e) = response_error(response) {
-        println!("{target}: {e}");
-        *saw_error = true;
-        return;
-    }
-    match response.get("status").and_then(Json::as_str) {
-        Some("typechecks") => println!("{target}: typechecks"),
-        Some("counterexample") => {
-            let input = response.get("input").and_then(Json::as_str).unwrap_or("?");
-            println!("{target}: counterexample input: {input}");
-            match response.get("output").and_then(Json::as_str) {
-                Some(o) => println!("{target}: counterexample image: {o}"),
-                None => println!("{target}: counterexample image is not a tree"),
-            }
-            *saw_counterexample = true;
-        }
-        Some("error") => {
-            let message = response.get("message").and_then(Json::as_str).unwrap_or("");
-            println!("{target}: error: {message}");
-            *saw_error = true;
-        }
-        other => {
-            println!("{target}: unexpected status {other:?}");
+    let field = |key| response.get(key).and_then(Json::as_str);
+    let status = match (response_error(response), field("status")) {
+        (Some(e), _) => Err(e),
+        (None, Some("typechecks")) => Ok(ItemStatus::TypeChecks),
+        (None, Some("counterexample")) => Ok(ItemStatus::CounterExample {
+            input: field("input").unwrap_or("?").to_string(),
+            output: field("output").map(str::to_string),
+        }),
+        (None, Some("error")) => Ok(ItemStatus::Error {
+            message: field("message").unwrap_or("").to_string(),
+        }),
+        (None, other) => Err(format!("unexpected status {other:?}")),
+    };
+    match status {
+        Ok(status) => print_status(target, &status, saw_counterexample, saw_error),
+        Err(e) => {
+            println!("{target}: {e}");
             *saw_error = true;
         }
     }

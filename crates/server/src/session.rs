@@ -41,6 +41,7 @@
 //! the response *order* at depth ≥2 is scheduling-dependent, and ids are
 //! the correlation key.
 
+use crate::net::lock;
 use crate::proto::{
     self, code, BatchItemReq, Edit, Op, Raw, Reject, Request, ResponseBuilder, Target,
 };
@@ -598,8 +599,10 @@ impl Session {
 ///
 /// Byte fidelity: an incrementally updated engine is trusted only for
 /// `TypeChecks` (where the response carries no witness bytes); failing
-/// verdicts re-render through the canonical [`check_instance`] path so
-/// counterexample bytes match a from-scratch check exactly.
+/// verdicts re-render through the canonical [`check_instance`] path, and a
+/// from-scratch run goes through [`RetainedEngine::build`], whose status
+/// is byte-identical to it, so counterexample bytes match a from-scratch
+/// check exactly.
 fn update_status(
     shared: &Shared,
     old: &Prepared,
@@ -612,20 +615,14 @@ fn update_status(
         && fp_old.input == fp_new.input
         && fp_old.output == fp_new.output;
     if schemas_unchanged {
-        let taken = old
-            .engine
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
+        let taken = lock(&old.engine).take();
         if let Some(mut engine) = taken {
             if let Ok((outcome, _reuse)) = engine.update(&new.instance.transducer) {
                 // The updated engine reflects the successor either way;
                 // park it there so the next edit in the chain is
                 // incremental too.
                 let type_checks = outcome.type_checks();
-                *new.engine
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(engine);
+                *lock(&new.engine) = Some(engine);
                 if type_checks {
                     cache.memo_insert(fp_new.combined(), &new.instance, &ItemStatus::TypeChecks);
                     return ItemStatus::TypeChecks;
@@ -637,20 +634,20 @@ fn update_status(
         }
     }
     // No engine to chain from (first update in a chain, a schema edit, or
-    // an unsupported transducer edit): full check through the canonical
-    // path, then seed an engine on the successor so the *next* update is
-    // incremental.
-    let status = check_instance(&new.instance, Some(cache));
-    if RetainedEngine::applicable(&new.instance) {
-        let mut slot = new
-            .engine
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if slot.is_none() {
-            let (engine, _status) = RetainedEngine::build(cache, &new.instance);
-            *slot = engine;
-        }
+    // an unsupported transducer edit): a memo hit answers as-is; on a miss
+    // one engine run renders the canonical verdict and seeds an engine on
+    // the successor, so the *next* update is incremental.
+    let memo_span = xmlta_obs::span("memo");
+    let hit = cache.memo_lookup(fp_new.combined(), &new.instance);
+    memo_span.finish();
+    if let Some(status) = hit {
+        return status;
     }
+    let (engine, status) = RetainedEngine::build(cache, &new.instance);
+    if let Some(engine) = engine {
+        *lock(&new.engine) = Some(engine);
+    }
+    cache.memo_insert(fp_new.combined(), &new.instance, &status);
     status
 }
 
@@ -776,21 +773,13 @@ fn status_reply(id: &Json, status: &ItemStatus) -> String {
 /// Appends a verdict's `status` field and its companions (`input` and
 /// `output` for a counterexample, `message` for an error).
 fn status_fields(b: ResponseBuilder, status: &ItemStatus) -> ResponseBuilder {
-    match status {
-        ItemStatus::TypeChecks => b.str_field("status", "typechecks"),
-        ItemStatus::CounterExample { input, output } => {
-            let b = b
-                .str_field("status", "counterexample")
-                .str_field("input", input);
-            match output {
-                Some(o) => b.str_field("output", o),
-                None => b.null_field("output"),
-            }
-        }
-        ItemStatus::Error { message } => {
-            b.str_field("status", "error").str_field("message", message)
-        }
-    }
+    status
+        .fields()
+        .into_iter()
+        .fold(b, |b, (key, value)| match value {
+            Some(v) => b.str_field(key, v),
+            None => b.null_field(key),
+        })
 }
 
 /// Why a connection stopped reading, as the depth-1 loop sees it.
@@ -986,10 +975,7 @@ impl Gate {
     /// Blocks until the window has room (with hysteresis), then admits
     /// one job.
     fn admit(&self, depth: usize) {
-        let mut n = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut n = lock(&self.inflight);
         if *n >= depth {
             while *n > self.low {
                 n = self
@@ -1003,19 +989,13 @@ impl Gate {
 
     /// Jobs currently in flight (a point-in-time read for the idle check).
     fn inflight(&self) -> usize {
-        *self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        *lock(&self.inflight)
     }
 
     /// Marks one job complete (its response is already queued); returns
     /// the number of jobs still in flight.
     fn release(&self) -> usize {
-        let mut n = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut n = lock(&self.inflight);
         *n -= 1;
         // The reader parks only at the watermarks; anything between is
         // silent (there is exactly one waiter — the reader — and it waits
@@ -1028,10 +1008,7 @@ impl Gate {
 
     /// Blocks until no job is in flight.
     fn drain(&self) {
-        let mut n = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut n = lock(&self.inflight);
         while *n > 0 {
             n = self
                 .changed
@@ -1085,10 +1062,7 @@ impl Outbox {
 
     /// Queues one response; `urgent` forces a writer wake-up.
     fn push(&self, line: &str, urgent: bool) {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut s = lock(&self.state);
         s.pending.extend_from_slice(line.as_bytes());
         s.pending.push(b'\n');
         s.count += 1;
@@ -1099,20 +1073,14 @@ impl Outbox {
 
     /// Wakes the writer without queueing (the quiescence nudge).
     fn nudge(&self) {
-        let _s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _s = lock(&self.state);
         self.ready.notify_all();
     }
 
     /// A producer is done; the last one out wakes the writer for the
     /// final drain.
     fn leave(&self) {
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut s = lock(&self.state);
         s.producers -= 1;
         if s.producers == 0 {
             self.ready.notify_all();
@@ -1124,10 +1092,7 @@ impl Outbox {
     /// batch); `None` once every producer left and the queue is drained.
     fn take(&self, mut spare: Vec<u8>) -> Option<Vec<u8>> {
         spare.clear();
-        let mut s = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut s = lock(&self.state);
         while s.pending.is_empty() && s.producers > 0 {
             s = self
                 .ready
@@ -1239,10 +1204,7 @@ fn serve_pooled<R: BufRead + Send, W: Write>(
                 loop {
                     // Hold the receiver lock only for the blocking recv;
                     // execution runs unlocked.
-                    let job = job_rx
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .recv();
+                    let job = lock(job_rx).recv();
                     let Ok(job) = job else { break };
                     // Queue before release (the shutdown-drain invariant);
                     // the last completion in a lull nudges the writer.

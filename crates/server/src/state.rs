@@ -18,6 +18,7 @@
 //! and transcripts stay byte-identical no matter what was evicted in
 //! between. The eviction count is visible through the `stats` op only.
 
+use crate::net::lock;
 use crate::proto::Edit;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,30 +212,17 @@ impl Shared {
 
     /// Number of distinct registered instances currently retained.
     pub fn registered(&self) -> usize {
-        self.registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .lru
-            .iter()
-            .map(|(_, v)| v.len())
-            .sum()
+        lock(&self.registry).lru.iter().map(|(_, v)| v.len()).sum()
     }
 
     /// How many prepared instances the LRU bound has evicted so far.
     pub fn evictions(&self) -> u64 {
-        self.registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .evicted
+        lock(&self.registry).evicted
     }
 
     /// The registry's configured capacity.
     pub fn registry_capacity(&self) -> usize {
-        self.registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .lru
-            .capacity()
+        lock(&self.registry).lru.capacity()
     }
 
     /// Registers textual `source`: parses and prepares it once per
@@ -274,10 +262,7 @@ impl Shared {
     /// The retained artifact for the given content, bumping its recency.
     fn lookup(&self, kind: ContentKind, bytes: &[u8]) -> Option<Arc<Prepared>> {
         let fp = fingerprint_content(kind, bytes);
-        let mut registry = self
-            .registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut registry = lock(&self.registry);
         registry
             .lru
             .get(&fp)?
@@ -286,8 +271,8 @@ impl Shared {
             .map(Arc::clone)
     }
 
-    /// Prepares and retains a freshly parsed/decoded instance, evicting
-    /// the least recently used content when over capacity.
+    /// Warms the cache for and retains a freshly parsed/decoded instance,
+    /// evicting the least recently used content when over capacity.
     fn adopt(
         &self,
         handle: String,
@@ -295,11 +280,10 @@ impl Shared {
         instance: Instance,
     ) -> Arc<Prepared> {
         let fp = fingerprint_content(content.kind(), content.as_bytes());
-        let instance = self.prepare(instance);
-        let mut registry = self
-            .registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // Only the cache is warmed: the instance is kept as parsed, since
+        // the cache fingerprints and the engine choice read source schemas.
+        warm_instance(&self.cache, &instance);
+        let mut registry = lock(&self.registry);
         if let Some(entries) = registry.lru.get_mut(&fp) {
             if let Some(hit) = entries
                 .iter()
@@ -326,16 +310,6 @@ impl Shared {
             registry.evicted += bucket.len() as u64;
         }
         prepared
-    }
-
-    /// Warms the cache with the instance's per-schema products, so later
-    /// typechecks of the prepared instance hit on everything. The instance
-    /// itself is stored as parsed: `typecheck_cached` fingerprints the
-    /// *source* form, so swapping in compiled schemas here would make
-    /// every later lookup miss (and double-cache each schema).
-    fn prepare(&self, instance: Instance) -> Instance {
-        warm_instance(&self.cache, &instance);
-        instance
     }
 }
 

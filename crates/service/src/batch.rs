@@ -9,14 +9,14 @@
 //! `ci.sh` check.
 
 use crate::binfmt::{decode_instance, decode_stream, BinError};
-use crate::cache::{fingerprint_instance, typecheck_cached, CacheStats, SchemaCache};
+use crate::cache::{fingerprint_instance, CacheStats, SchemaCache};
 use crate::json::push_escaped;
 use crate::parse::parse_instance;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use typecheck_core::{Instance, Outcome};
+use typecheck_core::{typecheck_with, Instance, Outcome};
 
 /// What a batch item checks: textual source (parsed per run), a binary
 /// `.xtb` frame (decoded per run — the fast cold path), or an
@@ -100,6 +100,26 @@ pub enum ItemStatus {
         /// Human-readable message.
         message: String,
     },
+}
+
+impl ItemStatus {
+    /// The verdict's JSON fields in render order: `status`, then `input`
+    /// and `output` (`None` renders as `null`) for a counterexample or
+    /// `message` for an error. Batch records and server replies both
+    /// render exactly these.
+    pub fn fields(&self) -> Vec<(&'static str, Option<&str>)> {
+        match self {
+            ItemStatus::TypeChecks => vec![("status", Some("typechecks"))],
+            ItemStatus::CounterExample { input, output } => vec![
+                ("status", Some("counterexample")),
+                ("input", Some(input)),
+                ("output", output.as_deref()),
+            ],
+            ItemStatus::Error { message } => {
+                vec![("status", Some("error")), ("message", Some(message))]
+            }
+        }
+    }
 }
 
 /// A completed item.
@@ -205,44 +225,17 @@ pub fn result_json_line(r: &ItemResult) -> String {
 }
 
 fn push_result_json(out: &mut String, r: &ItemResult, pretty: bool) {
-    let sep = if pretty { ": " } else { ":" };
-    let comma = if pretty { ", " } else { "," };
+    let (sep, comma) = if pretty { (": ", ", ") } else { (":", ",") };
     out.push_str("{\"name\"");
     out.push_str(sep);
     push_escaped(out, &r.name);
-    match &r.status {
-        ItemStatus::TypeChecks => {
-            out.push_str(comma);
-            out.push_str("\"status\"");
-            out.push_str(sep);
-            out.push_str("\"typechecks\"");
-        }
-        ItemStatus::CounterExample { input, output } => {
-            out.push_str(comma);
-            out.push_str("\"status\"");
-            out.push_str(sep);
-            out.push_str("\"counterexample\"");
-            out.push_str(comma);
-            out.push_str("\"input\"");
-            out.push_str(sep);
-            push_escaped(out, input);
-            out.push_str(comma);
-            out.push_str("\"output\"");
-            out.push_str(sep);
-            match output {
-                Some(o) => push_escaped(out, o),
-                None => out.push_str("null"),
-            }
-        }
-        ItemStatus::Error { message } => {
-            out.push_str(comma);
-            out.push_str("\"status\"");
-            out.push_str(sep);
-            out.push_str("\"error\"");
-            out.push_str(comma);
-            out.push_str("\"message\"");
-            out.push_str(sep);
-            push_escaped(out, message);
+    for (key, value) in r.status.fields() {
+        out.push_str(comma);
+        push_escaped(out, key);
+        out.push_str(sep);
+        match value {
+            Some(v) => push_escaped(out, v),
+            None => out.push_str("null"),
         }
     }
     out.push('}');
@@ -302,22 +295,19 @@ fn process_inner(item: &BatchItem, cache: Option<&SchemaCache>) -> ItemResult {
 /// arrives as an `Arc` so the memo can retain it for hit verification
 /// without deep-cloning schemas and transducer.
 pub fn check_instance(instance: &Arc<Instance>, cache: Option<&SchemaCache>) -> ItemStatus {
-    let outcome = match cache {
-        Some(cache) => {
-            let memo_span = xmlta_obs::span("memo");
-            let fp = fingerprint_instance(instance);
-            if let Some(hit) = cache.memo_lookup(fp, instance) {
-                return hit;
-            }
-            memo_span.finish();
-            let _engine_span = xmlta_obs::span("engine");
-            let status = render_status(typecheck_cached(cache, instance), instance);
-            cache.memo_insert(fp, instance, &status);
-            return status;
-        }
-        None => typecheck_core::typecheck(instance),
+    let Some(cache) = cache else {
+        return render_status(typecheck_core::typecheck(instance), instance);
     };
-    render_status(outcome, instance)
+    let memo_span = xmlta_obs::span("memo");
+    let fp = fingerprint_instance(instance);
+    if let Some(hit) = cache.memo_lookup(fp, instance) {
+        return hit;
+    }
+    memo_span.finish();
+    let _engine_span = xmlta_obs::span("engine");
+    let status = render_status(typecheck_with(instance, cache), instance);
+    cache.memo_insert(fp, instance, &status);
+    status
 }
 
 /// Folds an engine outcome into the rendered [`ItemStatus`]. Public so the

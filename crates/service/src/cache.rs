@@ -17,6 +17,12 @@
 //!   `#`-eliminated complement, quadratic to build) is cached per
 //!   `(schema, joint alphabet)` key, `DTAc` validation verdict included.
 //!
+//! The cache chooses no engine: it implements [`typecheck_core::Products`],
+//! so `typecheck_core::typecheck_with(instance, cache)` runs the engine
+//! [`Engine::of`] names — the one [`typecheck_core::typecheck`] runs — and
+//! reads only that engine's products from here. `DTD(RE+)` instances go to
+//! the Section 5 engine, which reads the source schemas and no product.
+//!
 //! Keys are 64-bit Fx fingerprints of the full structure (content hashes —
 //! all rule tables, finals, AST shapes — not names), so equal content hits
 //! regardless of which parse produced it. The cache is shared across the
@@ -32,13 +38,13 @@
 use crate::artifact::{self, Artifact, ArtifactKind};
 use crate::batch::ItemStatus;
 use crate::lru::Lru;
-use std::sync::{Arc, Mutex};
-use typecheck_core::{delrelab, Instance, Outcome, Schema, TypecheckError};
+use std::sync::{Arc, Mutex, MutexGuard};
+use typecheck_core::{delrelab, Engine, Instance, Products, Schema, TypecheckError};
 use xmlta_automata::{Dfa, Nfa, Regex};
 use xmlta_base::fxhash::FxHasher;
 use xmlta_base::FxHashMap;
 use xmlta_schema::{Dtd, Nta, StringLang};
-use xmlta_transducer::{translate, Rhs, RhsNode, Selector, Transducer};
+use xmlta_transducer::{Rhs, RhsNode, Selector, Transducer};
 use xmlta_xpath::{Axis, Expr, Pattern};
 
 use std::hash::Hasher;
@@ -169,13 +175,19 @@ impl SchemaCache {
         self.store.is_some()
     }
 
+    /// The cache lock. Poisoning is recovered, not propagated: the cache
+    /// is an optimization, and one panicked check must not take every
+    /// later check down with it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Bumps stats under the lock (used by store paths, which do their
     /// I/O and decoding outside it).
     fn bump(&self, f: impl FnOnce(&mut CacheStats)) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         f(&mut inner.stats);
     }
 
@@ -227,10 +239,7 @@ impl SchemaCache {
     /// verified structurally equal (a colliding fingerprint counts as a
     /// miss, never as a wrong answer).
     pub fn memo_lookup(&self, fp: u64, instance: &Instance) -> Option<ItemStatus> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         match inner.memo.get(&fp) {
             Some((source, status)) if instance_eq(source, instance) => {
                 let status = status.clone();
@@ -248,10 +257,7 @@ impl SchemaCache {
     /// already owned by a *different* instance (64-bit collision) is left
     /// alone — correctness never depends on fingerprints being unique.
     pub fn memo_insert(&self, fp: u64, instance: &Arc<Instance>, status: &ItemStatus) {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut inner = self.lock();
         if let Some((source, _)) = inner.memo.get(&fp) {
             if !instance_eq(source, instance) {
                 return;
@@ -268,10 +274,7 @@ impl SchemaCache {
 
     /// `(live entries, capacity)` of the result memo.
     pub fn memo_len(&self) -> (usize, usize) {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         (inner.memo.len(), inner.memo.capacity())
     }
 
@@ -281,10 +284,7 @@ impl SchemaCache {
         let fp = fingerprint_dtd(dtd);
         let collided;
         {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut inner = self.lock();
             match inner.schemas.get(&fp) {
                 Some((source, hit)) if dtd_eq(source, dtd) => {
                     let hit = Arc::clone(hit);
@@ -306,7 +306,7 @@ impl SchemaCache {
                     _ => None,
                 })
             {
-                return self.adopt_schema(fp, dtd, compiled);
+                return publish(&mut self.lock().schemas, fp, dtd, dtd_eq, compiled);
             }
         }
         let mut compiled = Dtd::new(sigma, dtd.start());
@@ -327,22 +327,7 @@ impl SchemaCache {
                 self.store_save(ArtifactKind::Schema, fp, sigma, &bytes);
             }
         }
-        self.adopt_schema(fp, dtd, compiled)
-    }
-
-    /// Publishes a compiled schema (freshly built or adopted from the
-    /// store) into the in-memory map, re-verifying the slot's occupant: a
-    /// racing compile of a *colliding* schema may have claimed the slot
-    /// in the window since the miss.
-    fn adopt_schema(&self, fp: u64, dtd: &Dtd, compiled: Arc<Dtd>) -> Arc<Dtd> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match inner.schemas.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(e) if !dtd_eq(&e.get().0, dtd) => compiled,
-            entry => Arc::clone(&entry.or_insert((dtd.clone(), compiled)).1),
-        }
+        publish(&mut self.lock().schemas, fp, dtd, dtd_eq, compiled)
     }
 
     /// Compiles one rule language to a shared DFA, reusing equal rules.
@@ -355,10 +340,7 @@ impl SchemaCache {
         let key = (fingerprint_lang(lang), sigma);
         let collided;
         {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut inner = self.lock();
             match inner.rules.get(&key) {
                 Some((source, hit)) if lang_eq(source, lang) => {
                     let hit = Arc::clone(hit);
@@ -386,7 +368,7 @@ impl SchemaCache {
                     },
                 )
             {
-                return self.adopt_rule(key, lang, dfa);
+                return publish(&mut self.lock().rules, key, lang, lang_eq, dfa);
             }
         }
         let dfa = lang.to_shared_dfa(sigma);
@@ -397,20 +379,7 @@ impl SchemaCache {
             let bytes = artifact::encode_rule(sigma, lang, &dfa);
             self.store_save(ArtifactKind::Rule, key.0, sigma, &bytes);
         }
-        self.adopt_rule(key, lang, dfa)
-    }
-
-    /// Publishes a compiled rule, re-verifying the slot (see
-    /// [`SchemaCache::adopt_schema`]).
-    fn adopt_rule(&self, key: (u64, usize), lang: &StringLang, dfa: Arc<Dfa>) -> Arc<Dfa> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match inner.rules.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) if !lang_eq(&e.get().0, lang) => dfa,
-            entry => Arc::clone(&entry.or_insert((lang.clone(), dfa)).1),
-        }
+        publish(&mut self.lock().rules, key, lang, lang_eq, dfa)
     }
 
     /// The Theorem 20 `B_out` product for output automaton `aout` over the
@@ -425,10 +394,7 @@ impl SchemaCache {
         let key = (fingerprint_nta(aout), sigma);
         let collided;
         {
-            let mut inner = self
-                .inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut inner = self.lock();
             match inner.bouts.get(&key) {
                 Some((source, hit)) if nta_eq(source, aout) => {
                     let hit = hit.clone();
@@ -456,7 +422,7 @@ impl SchemaCache {
                     },
                 )
             {
-                return self.adopt_bout(key, aout, Ok(product));
+                return publish(&mut self.lock().bouts, key, aout, nta_eq, Ok(product));
             }
         }
         // Validation and construction run outside the lock.
@@ -473,36 +439,17 @@ impl SchemaCache {
                 self.store_save(ArtifactKind::Bout, key.0, sigma, &bytes);
             }
         }
-        self.adopt_bout(key, aout, built)
-    }
-
-    /// Publishes a `B_out` entry, re-verifying the slot (see
-    /// [`SchemaCache::adopt_schema`]).
-    fn adopt_bout(&self, key: (u64, usize), aout: &Nta, built: BoutEntry) -> BoutEntry {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match inner.bouts.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) if !nta_eq(&e.get().0, aout) => built,
-            entry => entry.or_insert((aout.clone(), built)).1.clone(),
-        }
+        publish(&mut self.lock().bouts, key, aout, nta_eq, built)
     }
 
     /// Current hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .stats
+        self.lock().stats
     }
 
     /// Number of distinct schemas and rules currently cached.
     pub fn len(&self) -> (usize, usize) {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let inner = self.lock();
         (inner.schemas.len(), inner.rules.len())
     }
 
@@ -512,69 +459,57 @@ impl SchemaCache {
     }
 }
 
-/// Warms `cache` with the instance's per-schema products — compiled DTD
-/// rule DFAs, or the Theorem 20 `B_out` product for NTA/NTA instances —
-/// so later typechecks hit on every product. With a persistent store
-/// mounted this is also the prewarm primitive: every product it compiles
-/// is written behind (`xmlta store prewarm`, server-side registration).
-pub fn warm_instance(cache: &SchemaCache, instance: &Instance) {
-    if let (Schema::Nta(ain), Schema::Nta(aout)) = (&instance.input, &instance.output) {
-        // Build (or find) the Theorem 20 B_out product now; the verdict —
-        // including `Unsupported` for non-DTAc outputs — is cached and
-        // surfaces at typecheck time.
-        let sigma = delrelab::joint_sigma(ain, aout, instance.alphabet_size());
-        let _ = cache.delrelab_bout(aout, sigma);
-    } else {
-        for schema in [&instance.input, &instance.output] {
-            if let Schema::Dtd(d) = schema {
-                let _ = cache.compile_dtd(d);
-            }
-        }
+/// The cache as the engines' product supplier: `typecheck_with(instance,
+/// cache)` runs exactly the engine [`typecheck_core::typecheck`] runs, on
+/// products served from here.
+impl Products for SchemaCache {
+    fn compile_dtd(&self, dtd: &Dtd) -> Arc<Dtd> {
+        SchemaCache::compile_dtd(self, dtd)
+    }
+
+    fn delrelab_bout(&self, aout: &Nta, sigma: usize) -> Result<Arc<Nta>, TypecheckError> {
+        SchemaCache::delrelab_bout(self, aout, sigma)
     }
 }
 
-/// Typechecks `instance` with all per-schema products routed through the
-/// cache: DTD schemas compile their rules to shared DFAs, and NTA instances
-/// reuse the Theorem 20 `B_out` product per output schema. The outcome is
-/// identical to [`typecheck_core::typecheck`] — the cache only changes
-/// where the work happens.
-pub fn typecheck_cached(
-    cache: &SchemaCache,
-    instance: &Instance,
-) -> Result<Outcome, TypecheckError> {
-    if let (Schema::Nta(ain), Schema::Nta(aout)) = (&instance.input, &instance.output) {
-        // Mirror the dispatch of `typecheck_core::typecheck` for the
-        // Theorem 20 pipeline, with step 3 served from the cache.
-        let transducer = if instance.transducer.uses_selectors() {
-            translate::expand_selectors_with_alphabet(
-                &instance.transducer,
-                instance.alphabet_size(),
-            )
-            .map_err(|e| TypecheckError::Selector(e.to_string()))?
-        } else {
-            instance.transducer.clone()
-        };
-        // Cheap transducer-class validation first, matching the direct
-        // engine's error precedence and skipping the product entirely on
-        // unsupported transducers.
-        delrelab::require_delrelab(&transducer)?;
-        let sigma = delrelab::joint_sigma(ain, aout, instance.alphabet_size());
-        let bout = cache.delrelab_bout(aout, sigma)?;
-        return delrelab::typecheck_delrelab_with_bout(ain, &bout, &transducer, sigma);
-    }
-    let compile = |schema: &Schema| -> Schema {
-        match schema {
-            Schema::Dtd(d) => Schema::Dtd((*cache.compile_dtd(d)).clone()),
-            Schema::Nta(n) => Schema::Nta(n.clone()),
+/// Warms `cache` with exactly the products the instance's engine
+/// ([`Engine::of`]) reads — both compiled DTDs for Lemma 14, the `B_out`
+/// product for Theorem 20, nothing for the Section 5 engine or a mixed
+/// instance — so later typechecks hit on every product. With a persistent
+/// store mounted this is also the prewarm primitive: every product it
+/// compiles is written behind (`xmlta store prewarm`, server-side
+/// registration).
+pub fn warm_instance(cache: &SchemaCache, instance: &Instance) {
+    match Engine::of(instance) {
+        Engine::Lemma14(din, dout) => {
+            cache.compile_dtd(din);
+            cache.compile_dtd(dout);
         }
-    };
-    let prepared = Instance {
-        alphabet: instance.alphabet.clone(),
-        input: compile(&instance.input),
-        output: compile(&instance.output),
-        transducer: instance.transducer.clone(),
-    };
-    typecheck_core::typecheck(&prepared)
+        Engine::Delrelab(ain, aout) => {
+            // A non-DTAc output is cached as an `Unsupported` verdict and
+            // surfaces at typecheck time.
+            let sigma = delrelab::joint_sigma(ain, aout, instance.alphabet_size());
+            let _ = cache.delrelab_bout(aout, sigma);
+        }
+        Engine::Replus(..) | Engine::Unsupported => {}
+    }
+}
+
+/// Publishes a product (freshly built or adopted from the store) into its
+/// map, re-verifying the slot's occupant: a racing compile of a
+/// *colliding* source may have claimed the slot in the window since the
+/// miss, and then the product is served uncached.
+fn publish<K: std::hash::Hash + Eq, S: Clone, P: Clone>(
+    map: &mut FxHashMap<K, (S, P)>,
+    key: K,
+    source: &S,
+    eq: fn(&S, &S) -> bool,
+    product: P,
+) -> P {
+    match map.entry(key) {
+        std::collections::hash_map::Entry::Occupied(e) if !eq(&e.get().0, source) => product,
+        entry => entry.or_insert((source.clone(), product)).1.clone(),
+    }
 }
 
 fn finish(h: FxHasher) -> u64 {
@@ -1138,8 +1073,8 @@ mod tests {
         let instance = Instance::ntas(a, ain, aout, t);
 
         let cache = SchemaCache::new();
-        let one = typecheck_cached(&cache, &instance).expect("engine runs");
-        let two = typecheck_cached(&cache, &instance).expect("engine runs");
+        let one = typecheck_core::typecheck_with(&instance, &cache).expect("engine runs");
+        let two = typecheck_core::typecheck_with(&instance, &cache).expect("engine runs");
         let reference = typecheck_core::typecheck(&instance).expect("engine runs");
         assert_eq!(one, two, "cached runs agree with each other");
         assert_eq!(one, reference, "cached run agrees with the direct engine");
@@ -1180,7 +1115,7 @@ mod tests {
         let instance = Instance::ntas(a, dtd_to_nta(&din), dtd_to_nta(&dout), t);
         let cache = SchemaCache::new();
         for _ in 0..2 {
-            match typecheck_cached(&cache, &instance) {
+            match typecheck_core::typecheck_with(&instance, &cache) {
                 Err(TypecheckError::Unsupported(m)) => assert!(m.contains("complete"), "{m}"),
                 other => panic!("expected Unsupported, got {other:?}"),
             }
@@ -1191,6 +1126,32 @@ mod tests {
             (1, 1),
             "the validation verdict is cached too: {s:?}"
         );
+    }
+
+    #[test]
+    fn warming_builds_exactly_the_products_the_engine_reads() {
+        let source = |input: &str, output: &str| {
+            format!(
+                "input dtd {{\n  start r\n  r -> {input}\n}}\n\
+                 output dtd {{\n  start r\n  r -> {output}\n}}\n\
+                 transducer {{\n  states q\n  initial q\n  (q, r) -> r(q)\n  (q, x) -> x\n}}\n"
+            )
+        };
+        let misses = |cache: &SchemaCache| cache.stats().schema_misses;
+        // Lemma 14 reads both compiled DTDs: warming compiles them, and
+        // the check then hits on both.
+        let cache = SchemaCache::new();
+        let lemma14 = crate::parse_instance(&source("x*", "x* y*")).unwrap();
+        warm_instance(&cache, &lemma14);
+        assert_eq!(misses(&cache), 2);
+        typecheck_core::typecheck_with(&lemma14, &cache).expect("engine runs");
+        assert_eq!((misses(&cache), cache.stats().schema_hits), (2, 2));
+        // The Section 5 engine reads the source schemas: nothing to warm.
+        let cache = SchemaCache::new();
+        let replus = crate::parse_instance(&source("@replus x+", "@replus x")).unwrap();
+        warm_instance(&cache, &replus);
+        typecheck_core::typecheck_with(&replus, &cache).expect("engine runs");
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]

@@ -9,26 +9,29 @@
 //!    hit ([`crate::cache::ComponentFingerprints`]);
 //! 2. **the result memo** — an edit that lands on a previously checked
 //!    version (e.g. an undo) short-circuits on the combined fingerprint;
-//! 3. **the retained engine** (this module) — for DTD/DTD instances without
-//!    selectors, the Lemma 14 engine itself is kept alive across versions:
+//! 3. **the retained engine** (this module) — for the instances the core
+//!    dispatch ([`Engine::of`]) sends to Lemma 14 and whose transducer has
+//!    no selectors, the engine itself is kept alive across versions:
 //!    a transducer edit invalidates only the ancestor closure of the edited
 //!    symbols and re-runs the fixpoint from that dirty set, reusing every
 //!    retained walk outside it
 //!    ([`Lemma14Engine::apply_transducer_edit`]).
 //!
-//! Verdict fidelity: a [`RetainedEngine::build`] mirrors the cached
-//! from-scratch pipeline exactly, so its rendered status is byte-identical
-//! to [`crate::check_instance`]. An *incrementally updated* engine is
-//! guaranteed to agree on the **verdict** (TypeChecks vs not — the
-//! invalidation is sound and complete) but may discover a *different*
-//! counterexample tree than a fresh engine would; callers that pin byte
-//! transcripts therefore trust the incremental result only when it is
-//! `TypeChecks` and re-render failures through the canonical path.
+//! Verdict fidelity: a [`RetainedEngine::build`] runs the same
+//! [`Lemma14Engine::check`] on the same cached products as the
+//! from-scratch path ([`typecheck_core::typecheck_with`]), so its rendered
+//! status is byte-identical to [`crate::check_instance`]. An
+//! *incrementally updated* engine is guaranteed to agree on the **verdict**
+//! (TypeChecks vs not — the invalidation is sound and complete) but may
+//! discover a *different* counterexample tree than a fresh engine would;
+//! callers that pin byte transcripts therefore trust the incremental result
+//! only when it is `TypeChecks` and re-render failures through the
+//! canonical path.
 
 use crate::batch::{render_status, ItemStatus};
 use crate::cache::SchemaCache;
 use typecheck_core::lemma14::Lemma14Engine;
-use typecheck_core::{Instance, Outcome, Schema, TypecheckError};
+use typecheck_core::{typecheck_with, Engine, Instance, Outcome, TypecheckError};
 use xmlta_transducer::Transducer;
 
 /// A Lemma 14 engine retained across instance versions.
@@ -46,41 +49,37 @@ pub struct UpdateReuse {
 }
 
 impl RetainedEngine {
-    /// Whether the retained-engine path can serve this instance: both
-    /// schemas DTDs and no selectors — exactly the instances the cached
-    /// from-scratch path routes to the Lemma 14 engine.
+    /// Whether the retained-engine path can serve this instance: the core
+    /// dispatch ([`Engine::of`]) picks the Lemma 14 engine and the
+    /// transducer has no selectors (the engine reads the transducer as
+    /// given, so an edit can be applied to it in place).
     pub fn applicable(instance: &Instance) -> bool {
-        matches!(
-            (&instance.input, &instance.output),
-            (Schema::Dtd(_), Schema::Dtd(_))
-        ) && !instance.transducer.uses_selectors()
+        matches!(Engine::of(instance), Engine::Lemma14(..)) && !instance.transducer.uses_selectors()
     }
 
-    /// Builds the engine for `instance` and runs a full check, compiling
-    /// both schemas through `cache` — the same pipeline
-    /// [`crate::cache::typecheck_cached`] uses for DTD instances, so the
-    /// rendered status is byte-identical to the from-scratch path. Returns
-    /// `None` for the engine when the instance is not
-    /// [`RetainedEngine::applicable`] or the engine errors.
+    /// Runs a full check of `instance` on products from `cache`, keeping
+    /// the engine when the instance is [`RetainedEngine::applicable`]. The
+    /// rendered status is byte-identical to [`crate::check_instance`]'s;
+    /// the engine is `None` for other instances or when the engine errors.
     pub fn build(cache: &SchemaCache, instance: &Instance) -> (Option<RetainedEngine>, ItemStatus) {
         let _span = xmlta_obs::span("engine_build");
-        let (Schema::Dtd(din), Schema::Dtd(dout)) = (&instance.input, &instance.output) else {
-            return (
-                None,
-                render_status(crate::cache::typecheck_cached(cache, instance), instance),
-            );
+        let checked = match Engine::of(instance) {
+            Engine::Lemma14(din, dout) if !instance.transducer.uses_selectors() => {
+                Lemma14Engine::check(
+                    &cache.compile_dtd(din),
+                    &cache.compile_dtd(dout),
+                    &instance.transducer,
+                    instance.alphabet_size(),
+                )
+            }
+            _ => {
+                return (
+                    None,
+                    render_status(typecheck_with(instance, cache), instance),
+                )
+            }
         };
-        let din = cache.compile_dtd(din);
-        let dout = cache.compile_dtd(dout);
-        let result = (|| {
-            let mut engine =
-                Lemma14Engine::new(&din, &dout, &instance.transducer, instance.alphabet_size())?;
-            engine.run_fixpoint()?;
-            engine.compute_reachable();
-            let outcome = engine.outcome()?;
-            Ok::<_, TypecheckError>((engine, outcome))
-        })();
-        match result {
+        match checked {
             Ok((engine, outcome)) => (
                 Some(RetainedEngine { engine }),
                 render_status(Ok(outcome), instance),

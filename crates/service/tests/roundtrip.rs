@@ -1,5 +1,6 @@
 //! Round-trip properties of the textual instance format, and agreement of
-//! the cached engine path with the direct one.
+//! the cached engine path with the direct one (outcomes compared whole,
+//! counterexample trees included).
 //!
 //! The printed form is canonical, so parse∘print is the identity **on
 //! printed forms**: `print(parse(print(x))) == print(x)`. On ASTs it is the
@@ -11,14 +12,46 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use typecheck_core::{typecheck, Instance, Schema};
+use typecheck_core::{typecheck, typecheck_with, Instance, Schema};
 use xmlta_hardness::workloads::{self, Workload};
-use xmlta_service::{parse_instance, print_instance, typecheck_cached, SchemaCache};
+use xmlta_service::{parse_instance, print_instance, SchemaCache};
+
+/// A failing `DTD(RE+)` chain: the input is `s0 -> s1+`, …,
+/// `s{levels-1} -> leaf+`, the transducer is the identity, and the output
+/// drops the `+` at level `narrow`. So `t_min` passes and `t_vast` fails,
+/// and the canonical counterexample (Corollary 38) is a different tree
+/// from the one the Lemma 14 engine finds.
+fn failing_replus_chain(levels: usize, narrow: usize) -> Workload {
+    let child = |i: usize| {
+        if i + 1 < levels {
+            format!("s{}", i + 1)
+        } else {
+            "leaf".to_string()
+        }
+    };
+    let (mut input, mut output, mut rules) = (String::new(), String::new(), String::new());
+    for i in 0..levels {
+        input.push_str(&format!("  s{i} -> @replus {}+\n", child(i)));
+        let plus = if i == narrow { "" } else { "+" };
+        output.push_str(&format!("  s{i} -> @replus {}{plus}\n", child(i)));
+        rules.push_str(&format!("  (q, s{i}) -> s{i}(q)\n"));
+    }
+    let source = format!(
+        "input dtd {{\n  start s0\n{input}}}\noutput dtd {{\n  start s0\n{output}}}\n\
+         transducer {{\n  states q\n  initial q\n{rules}  (q, leaf) -> leaf\n}}\n"
+    );
+    Workload {
+        name: format!("replus-fail/levels={levels},narrow={narrow}"),
+        instance: parse_instance(&source).expect("RE+ chain parses"),
+        expect_typechecks: false,
+    }
+}
 
 /// All-DTD workload families, spanning regex, RE+, NFA, and DFA rules plus
 /// XPath selectors.
 fn dtd_workloads() -> Vec<Workload> {
     vec![
+        failing_replus_chain(3, 1),
         workloads::filtering_family(3),
         workloads::failing_filtering_family(2),
         workloads::copying_family(2),
@@ -138,13 +171,8 @@ fn cached_and_uncached_engines_agree_on_workloads() {
         let direct = typecheck(&w.instance).expect("direct engine");
         // Twice through the cache: once compiling, once hitting.
         for round in 0..2 {
-            let cached = typecheck_cached(&cache, &w.instance).expect("cached engine");
-            assert_eq!(
-                direct.type_checks(),
-                cached.type_checks(),
-                "{} (cache round {round})",
-                w.name
-            );
+            let cached = typecheck_with(&w.instance, &cache).expect("cached engine");
+            assert_eq!(direct, cached, "{} (cache round {round})", w.name);
             assert_eq!(
                 direct.type_checks(),
                 w.expect_typechecks,
@@ -161,16 +189,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random layered instances (regex-rule DTDs + random transducers)
-    /// reach the printed fixpoint, agree on outcome after reparse, and
-    /// agree between the cached and direct engine paths.
+    /// and failing `DTD(RE+)` chains reach the printed fixpoint, agree on
+    /// outcome after reparse, and get the same outcome, witness included,
+    /// from the cached and direct engine paths.
     #[test]
     fn random_layered_instances_roundtrip(seed in 0u64..10_000) {
-        let w = workloads::random_layered_family(seed, 3, 3);
-        assert_roundtrip(&w.name, &w.instance);
-        let cache = SchemaCache::new();
-        let direct = typecheck(&w.instance).expect("direct");
-        let cached = typecheck_cached(&cache, &w.instance).expect("cached");
-        prop_assert_eq!(direct.type_checks(), cached.type_checks());
+        let levels = 2 + seed as usize % 3;
+        for w in [
+            workloads::random_layered_family(seed, 3, 3),
+            failing_replus_chain(levels, seed as usize / 3 % levels),
+        ] {
+            assert_roundtrip(&w.name, &w.instance);
+            let cache = SchemaCache::new();
+            let direct = typecheck(&w.instance).expect("direct");
+            let cached = typecheck_with(&w.instance, &cache).expect("cached");
+            prop_assert_eq!(direct, cached, "{}", w.name);
+        }
     }
 
     /// The transducer section round-trips transformations, not just
